@@ -10,6 +10,8 @@ advisory steers the reference so the predicted track grazes the circle
 instead of entering it.
 """
 
+import types as _types
+
 from .avoidance import (
     Advisory,
     ConflictPrediction,
@@ -34,7 +36,6 @@ from .dynamics import (
     evolve_mode_distribution,
     measure,
     mode_matrix,
-    noise_input_matrix,
     sample_next_mode,
     step_truth,
     validate_transition_matrix,
@@ -77,59 +78,9 @@ from .traceio import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Advisory",
-    "ConflictPrediction",
-    "CRUISE_SPEED",
-    "CSV_COLUMNS",
-    "DegenerateMeasurementError",
-    "EpisodeMetrics",
-    "EpisodeTrace",
-    "GaussianBelief",
-    "ImmBelief",
-    "ImmModel",
-    "ImmStepOutput",
-    "MEASUREMENT_MATRIX",
-    "MEASUREMENT_NOISE_COV",
-    "Mode",
-    "MonteCarloResult",
-    "PROCESS_NOISE_COV",
-    "RunManifest",
-    "SAFETY_RADIUS",
-    "SPAWN_RADIUS",
-    "ScenarioConfig",
-    "TRANSITION_MATRIX",
-    "TURN_RATE_OFFSET",
-    "apply_avoidance",
-    "coordinated_turn_matrix",
-    "deflect_track",
-    "detect_conflict",
-    "escape_angle",
-    "evolve_mode_distribution",
-    "fuse_estimates",
-    "gaussian_likelihood",
-    "imm_step",
-    "init_scenario",
-    "initial_belief",
-    "kf_predict",
-    "kf_update",
-    "load_config",
-    "make_manifest",
-    "measure",
-    "mix_initial_conditions",
-    "mixing_probabilities",
-    "mode_matrix",
-    "noise_input_matrix",
-    "predict_range",
-    "read_episode_csv",
-    "read_summary_json",
-    "rotate_frame",
-    "run_episode",
-    "run_monte_carlo",
-    "sample_next_mode",
-    "step_truth",
-    "update_mode_probabilities",
-    "validate_transition_matrix",
-    "write_episode_csv",
-    "write_summary_json",
-]
+# every name imported above is public; the list is derived, not maintained
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _types.ModuleType)
+)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .imm import GaussianBelief, ImmBelief
+from .imm import ImmBelief
 
 MAX_BANK_ANGLE = math.pi / 4  # advisory clamp, rad
 DEFAULT_LOOKAHEAD = 3
@@ -170,7 +170,7 @@ def deflect_track(state: np.ndarray, theta: float) -> np.ndarray:
 
 
 def apply_avoidance(belief: ImmBelief, advisory: Advisory) -> ImmBelief:
-    """Deflects every per-mode belief by the advisory angle.
+    """Deflects the whole bank by the advisory angle in one stacked rotation.
 
     Means transform like states under deflect_track; covariances are
     conjugated by the matching block rotation, which is orthogonal, so
@@ -179,8 +179,7 @@ def apply_avoidance(belief: ImmBelief, advisory: Advisory) -> ImmBelief:
     """
     t = np.eye(5)
     t[np.ix_(_VEL, _VEL)] = _rotation(-advisory.theta)
-    per_mode = []
-    for b in belief.per_mode:
-        cov = t @ b.cov @ t.T
-        per_mode.append(GaussianBelief(t @ b.mean, 0.5 * (cov + cov.T)))
-    return ImmBelief(per_mode, belief.mode_probs.copy())
+    covs = t @ belief.covs @ t.T
+    return ImmBelief._from_arrays(
+        belief.means @ t.T, 0.5 * (covs + covs.swapaxes(1, 2)), belief.mode_probs.copy()
+    )

@@ -74,8 +74,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="also write one CSV per episode",
     )
 
-    check_p = subparsers.add_parser("check", help="run invariant self-tests")
-    _add_common_options(check_p)
+    # check runs fixed self-tests, so it takes no simulation options
+    subparsers.add_parser("check", help="run invariant self-tests")
 
     return parser
 
@@ -138,8 +138,7 @@ def _cmd_monte_carlo(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    ok = run_all_checks()
-    return 0 if ok else 1
+    return 0 if run_all_checks() else 1
 
 
 def cli_main(argv: list[str] | None = None) -> int:

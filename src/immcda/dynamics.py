@@ -127,27 +127,6 @@ def mode_matrix(mode: Mode, base_rate: float, dt: float) -> np.ndarray:
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def noise_input_matrix(dt: float) -> np.ndarray:
-    """5x3 mapping from planar accelerations into the state.
-
-    Kept as documentation of the disturbance channels next to the
-    state-space noise covariance actually used for sampling. The turn-rate
-    row is zero: no disturbance channel excites the turn-rate state.
-    """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    half = 0.5 * dt * dt
-    return np.array(
-        [
-            [half, 0.0, 0.0],
-            [dt, 0.0, 0.0],
-            [0.0, half, 0.0],
-            [0.0, dt, 0.0],
-            [0.0, 0.0, 0.0],
-        ]
-    )
-
-
 def step_truth(
     state: np.ndarray, mode: Mode, dt: float, noise: np.ndarray | None = None
 ) -> np.ndarray:
@@ -168,13 +147,13 @@ def sample_next_mode(mode: Mode, pi: np.ndarray, u: float) -> Mode:
 
     Args:
         mode: Current mode.
-        pi: Row-stochastic transition matrix (validated on every call).
+        pi: Row-stochastic transition matrix, already validated
+            (ScenarioConfig validates its own).
         u: Uniform variate in [0, 1).
 
     Returns:
         The mode whose cumulative-probability interval contains u.
     """
-    pi = validate_transition_matrix(pi)
     if not 0.0 <= u < 1.0:
         raise ValueError(f"u must lie in [0, 1), got {u}")
     edge = 0.0

@@ -1,11 +1,15 @@
 """Interacting-multiple-model estimator over the three flight modes.
 
-One cycle mixes the per-mode beliefs with the mode transition
-probabilities, runs a mode-matched Kalman filter bank on the new position
-fix, reweighs the mode probabilities by measurement likelihood, and fuses
-the bank into a single moment-matched Gaussian. The turn-mode transition
-matrices are rebuilt every cycle around the current fused turn-rate
-estimate.
+The filter bank is stacked arrays: means (3, 5), covs (3, 5, 5) and mode
+probabilities (3,). One cycle mixes the bank under the mode transition
+probabilities, predicts and updates all three mode-matched Kalman filters
+at once on the new position fix, reweighs the modes by measurement
+likelihood, and fuses the bank into one Gaussian; mixing and fusion are the
+same moment match. Each 2x2 innovation covariance is factored once, in
+closed form, for the condition guard, the gain and the likelihood. The
+straight-mode transition is built once per model; the turn-mode ones are
+rebuilt each cycle around the fused turn-rate estimate. The per-belief
+functions run the same stacked kernels on a stack of one.
 """
 
 from __future__ import annotations
@@ -27,10 +31,14 @@ from .dynamics import (
 )
 
 N_MODES = 3
+MEAS_DIM = 2
 TWO_PI = 2.0 * math.pi
 
 # Innovation covariances with condition numbers beyond this are rejected.
 MAX_MEASUREMENT_CONDITION = 1e12
+
+# Entry signs of the adjugate of a 2x2 matrix with its diagonal swapped.
+_ADJUGATE_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
 # Broad prior over the state at track initialization.
 INITIAL_COV = np.diag([100.0**2, 400.0**2, 100.0**2, 400.0**2, 0.01])
@@ -66,44 +74,62 @@ class GaussianBelief:
             raise ValueError(f"covariance has negative eigenvalue {min_eig}")
 
 
-@dataclass
 class ImmBelief:
-    """Bank of per-mode beliefs plus the mode probability vector."""
+    """Filter bank: stacked means (3, n), covs (3, n, n) and mode_probs (3,).
 
-    per_mode: list[GaussianBelief]
-    mode_probs: np.ndarray
+    Only the public constructor, from one GaussianBelief per mode, validates.
+    """
 
-    def __post_init__(self) -> None:
-        self.per_mode = list(self.per_mode)
-        if len(self.per_mode) != N_MODES:
+    __slots__ = ("means", "covs", "mode_probs")
+
+    def __init__(self, per_mode: list[GaussianBelief], mode_probs: np.ndarray) -> None:
+        per_mode = list(per_mode)
+        if len(per_mode) != N_MODES:
             raise ValueError(f"expected {N_MODES} per-mode beliefs")
-        self.mode_probs = np.asarray(self.mode_probs, dtype=float).reshape(-1)
-        if self.mode_probs.shape != (N_MODES,):
+        mode_probs = np.asarray(mode_probs, dtype=float).reshape(-1)
+        if mode_probs.shape != (N_MODES,):
             raise ValueError("mode_probs must be a 3-vector")
-        if np.any(self.mode_probs < -1e-12):
+        if np.any(mode_probs < -1e-12):
             raise ValueError("mode probabilities must be non-negative")
-        if abs(float(self.mode_probs.sum()) - 1.0) > 1e-9:
+        if abs(float(mode_probs.sum()) - 1.0) > 1e-9:
             raise ValueError("mode probabilities must sum to 1")
+        self.means, self.covs = _stack(per_mode)
+        self.mode_probs = mode_probs
+
+    @classmethod
+    def _from_arrays(cls, means, covs, mode_probs) -> ImmBelief:
+        """Wraps arrays the estimator itself produced, without validation."""
+        bank = cls.__new__(cls)
+        bank.means, bank.covs, bank.mode_probs = means, covs, mode_probs
+        return bank
+
+    @property
+    def per_mode(self) -> list[GaussianBelief]:
+        """Per-mode beliefs, as copies detached from the bank."""
+        means, covs = self.means.copy(), self.covs.copy()
+        return [GaussianBelief(m, c) for m, c in zip(means, covs)]
 
 
 @dataclass
 class ImmStepOutput:
     """Result of one estimator cycle.
 
-    innovations holds one (residual, innovation covariance) pair per mode;
-    flags records numerical fallbacks taken during the cycle.
+    residuals (3, 2) and innovation_covs (3, 2, 2) hold each mode's
+    measurement residual and innovation covariance; flags records
+    numerical fallbacks taken during the cycle.
     """
 
     belief: ImmBelief
     fused: GaussianBelief
     likelihoods: np.ndarray
-    innovations: list[tuple[np.ndarray, np.ndarray]]
+    residuals: np.ndarray
+    innovation_covs: np.ndarray
     flags: tuple[str, ...] = ()
 
 
-@dataclass
+@dataclass(frozen=True)
 class ImmModel:
-    """Model bundle consumed by imm_step."""
+    """Model bundle consumed by imm_step; validated once, then immutable."""
 
     pi: np.ndarray = field(default_factory=lambda: TRANSITION_MATRIX.copy())
     process_cov: np.ndarray = field(default_factory=lambda: PROCESS_NOISE_COV.copy())
@@ -113,16 +139,105 @@ class ImmModel:
     modes: tuple[Mode, Mode, Mode] = (Mode.STRAIGHT, Mode.LEFT_TURN, Mode.RIGHT_TURN)
 
     def __post_init__(self) -> None:
-        self.pi = validate_transition_matrix(self.pi)
-        self.process_cov = np.asarray(self.process_cov, dtype=float)
-        self.meas_matrix = np.asarray(self.meas_matrix, dtype=float)
-        self.meas_cov = np.asarray(self.meas_cov, dtype=float)
+        checked = {"pi": validate_transition_matrix(self.pi)}
+        # the closed-form 2x2 innovation kernel relies on these shapes
+        for name, shape in (
+            ("process_cov", (STATE_DIM, STATE_DIM)),
+            ("meas_matrix", (MEAS_DIM, STATE_DIM)),
+            ("meas_cov", (MEAS_DIM, MEAS_DIM)),
+        ):
+            value = checked[name] = np.asarray(getattr(self, name), dtype=float)
+            if value.shape != shape:
+                raise ValueError(f"{name} must have shape {shape}, got {value.shape}")
         if self.dt <= 0.0:
             raise ValueError("dt must be positive")
+        checked["_straight"] = mode_matrix(Mode.STRAIGHT, 0.0, self.dt)
+        for name, value in checked.items():
+            object.__setattr__(self, name, value)
 
-    def transition_matrices(self, base_rate: float) -> list[np.ndarray]:
-        """Per-mode transition matrices around the given base turn rate."""
-        return [mode_matrix(m, base_rate, self.dt) for m in self.modes]
+    def transition_matrices(self, base_rate: float) -> np.ndarray:
+        """Stacked (3, 5, 5) per-mode transition matrices around base_rate."""
+        straight, dt = self._straight, self.dt
+        return np.array(
+            [straight if m == Mode.STRAIGHT else mode_matrix(m, base_rate, dt) for m in self.modes]
+        )
+
+
+# --- stacked kernels: leading axis k runs over the beliefs in the stack ---
+
+
+def _symmetrize(covs: np.ndarray) -> np.ndarray:
+    return 0.5 * (covs + covs.swapaxes(-1, -2))
+
+
+def _stack(per_mode: list[GaussianBelief]) -> tuple[np.ndarray, np.ndarray]:
+    return np.array([b.mean for b in per_mode]), np.array([b.cov for b in per_mode])
+
+
+def _moment_match(means, covs, weights) -> tuple[np.ndarray, np.ndarray]:
+    """Gaussians matching the bank's mixture under each weight column:
+    weights (n, k) over means (n, d) and covs (n, d, d) give (k, d), (k, d, d)."""
+    w = weights[:, :, None]
+    mean = (w * means[:, None, :]).sum(axis=0)
+    spread = means[:, None, :] - mean
+    terms = covs[:, None] + spread[..., :, None] * spread[..., None, :]
+    return mean, _symmetrize((w[..., None] * terms).sum(axis=0))
+
+
+def _predict(means, covs, transitions, process_cov) -> tuple[np.ndarray, np.ndarray]:
+    mean = (transitions @ means[:, :, None])[:, :, 0]
+    cov = transitions @ covs @ transitions.swapaxes(-1, -2) + process_cov
+    return mean, _symmetrize(cov)
+
+
+def _factor(s: np.ndarray, residuals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inverses of stacked symmetric 2x2 matrices S, and residual densities.
+
+    One closed-form factorization (determinant and adjugate) per S. Its
+    exact eigenvalues lam_max = (a + c)/2 + hypot((a - c)/2, b) and
+    lam_min = det/lam_max guard it: DegenerateMeasurementError unless every
+    S is positive definite with condition number <= MAX_MEASUREMENT_CONDITION.
+    """
+    if s.shape[1:] != (MEAS_DIM, MEAS_DIM):
+        raise ValueError(f"innovation covariance must be 2x2, got {s.shape[1:]}")
+    a, b, c = s[:, 0, 0], s[:, 0, 1], s[:, 1, 1]
+    det = a * c - b * b
+    lam_max = 0.5 * (a + c) + np.hypot(0.5 * (a - c), b)
+    # lam_min > 0 and lam_max <= bound * lam_min, times lam_max so nothing
+    # divides by zero; NaN fails every comparison
+    bounded = lam_max**2 <= MAX_MEASUREMENT_CONDITION * det
+    usable = (lam_max > 0.0) & (det > 0.0) & bounded
+    if not all(usable.tolist()):
+        raise DegenerateMeasurementError(
+            "innovation covariance is not positive definite with condition "
+            f"number <= {MAX_MEASUREMENT_CONDITION:g}"
+        )
+    s_inv = s[:, ::-1, ::-1] * _ADJUGATE_SIGNS / det[:, None, None]
+    maha = (residuals[:, None, :] @ s_inv @ residuals[:, :, None])[:, 0, 0]
+    return s_inv, np.exp(-0.5 * maha) / (TWO_PI * np.sqrt(det))
+
+
+def _update(means, covs, z, meas_matrix, meas_cov) -> tuple[np.ndarray, ...]:
+    """Joseph-form update of every belief on one fix z.
+
+    Returns posterior means and covs, residuals, innovation covariances
+    and likelihoods.
+    """
+    h, r = meas_matrix, meas_cov
+    residuals = z - means @ h.T
+    pht = covs @ h.T
+    s = _symmetrize(h @ pht + r)
+    s_inv, likelihoods = _factor(s, residuals)
+    gain = pht @ s_inv
+    i_kh = np.eye(means.shape[1]) - gain @ h
+    cov = i_kh @ covs @ i_kh.swapaxes(-1, -2) + gain @ r @ gain.swapaxes(-1, -2)
+    mean = means + (gain @ residuals[:, :, None])[:, :, 0]
+    return mean, _symmetrize(cov), residuals, s, likelihoods
+
+
+def _fuse(means, covs, mode_probs) -> GaussianBelief:
+    mean, cov = _moment_match(means, covs, mode_probs[:, None])
+    return GaussianBelief(mean[0], cov[0])
 
 
 def mixing_probabilities(
@@ -131,7 +246,8 @@ def mixing_probabilities(
     """Mixing weights and predicted mode probabilities.
 
     Args:
-        pi: Row-stochastic mode transition matrix.
+        pi: Row-stochastic mode transition matrix, already validated
+            (ImmModel and ScenarioConfig validate theirs).
         mu_prev: Previous mode probabilities.
 
     Returns:
@@ -140,15 +256,15 @@ def mixing_probabilities(
         c_bar[j] = 0 (mode j unreachable) is replaced by the uniform
         distribution so the mixer stays defined.
     """
-    pi = validate_transition_matrix(pi)
+    pi = np.asarray(pi, dtype=float)
     mu_prev = np.asarray(mu_prev, dtype=float)
     c_bar = pi.T @ mu_prev
     mu_ij = pi * mu_prev[:, None]
-    for j in range(N_MODES):
-        if c_bar[j] > 0.0:
-            mu_ij[:, j] /= c_bar[j]
-        else:
-            mu_ij[:, j] = 1.0 / N_MODES
+    if min(c_bar.tolist()) > 0.0:
+        return mu_ij / c_bar, c_bar
+    live = c_bar > 0.0
+    mu_ij[:, live] /= c_bar[live]
+    mu_ij[:, ~live] = 1.0 / N_MODES
     return mu_ij, c_bar
 
 
@@ -156,61 +272,34 @@ def mix_initial_conditions(
     per_mode: list[GaussianBelief], mu_ij: np.ndarray
 ) -> list[GaussianBelief]:
     """Moment-matched mixture of the bank under each mixing column."""
-    mu_ij = np.asarray(mu_ij, dtype=float)
-    mixed = []
-    for j in range(N_MODES):
-        w = mu_ij[:, j]
-        mean = sum(w[i] * per_mode[i].mean for i in range(N_MODES))
-        cov = np.zeros_like(per_mode[0].cov)
-        for i in range(N_MODES):
-            d = per_mode[i].mean - mean
-            cov = cov + w[i] * (per_mode[i].cov + np.outer(d, d))
-        mixed.append(GaussianBelief(mean, 0.5 * (cov + cov.T)))
-    return mixed
+    means, covs = _moment_match(*_stack(per_mode), np.asarray(mu_ij, dtype=float))
+    return [GaussianBelief(m, c) for m, c in zip(means, covs)]
 
 
 def kf_predict(
     belief: GaussianBelief, transition: np.ndarray, process_cov: np.ndarray
 ) -> GaussianBelief:
     """Kalman time update through a linear transition."""
-    a = np.asarray(transition, dtype=float)
-    mean = a @ belief.mean
-    cov = a @ belief.cov @ a.T + np.asarray(process_cov, dtype=float)
-    return GaussianBelief(mean, 0.5 * (cov + cov.T))
+    a = np.asarray(transition, dtype=float)[None]
+    mean, cov = _predict(belief.mean[None], belief.cov[None], a, process_cov)
+    return GaussianBelief(mean[0], cov[0])
 
 
 def kf_update(
     belief: GaussianBelief, z: np.ndarray, meas_matrix: np.ndarray, meas_cov: np.ndarray
 ) -> tuple[GaussianBelief, np.ndarray, np.ndarray]:
-    """Kalman measurement update in Joseph form.
+    """Kalman measurement update in Joseph form on a planar (2-vector) fix.
 
-    Args:
-        belief: Predicted belief.
-        z: Measurement vector.
-        meas_matrix: Measurement matrix.
-        meas_cov: Measurement noise covariance.
-
-    Returns:
-        (posterior, residual, innovation covariance).
+    Returns (posterior, residual, innovation covariance).
 
     Raises:
-        DegenerateMeasurementError: If the innovation covariance condition
-            number exceeds MAX_MEASUREMENT_CONDITION.
+        DegenerateMeasurementError: If the innovation covariance is not
+            positive definite or its condition number exceeds
+            MAX_MEASUREMENT_CONDITION.
     """
-    h = np.asarray(meas_matrix, dtype=float)
-    r = np.asarray(meas_cov, dtype=float)
-    residual = np.asarray(z, dtype=float) - h @ belief.mean
-    s = h @ belief.cov @ h.T + r
-    s = 0.5 * (s + s.T)
-    if np.linalg.cond(s) > MAX_MEASUREMENT_CONDITION:
-        raise DegenerateMeasurementError(
-            f"innovation covariance is near-singular (cond > {MAX_MEASUREMENT_CONDITION:g})"
-        )
-    gain = belief.cov @ h.T @ np.linalg.inv(s)
-    i_kh = np.eye(belief.mean.shape[0]) - gain @ h
-    cov = i_kh @ belief.cov @ i_kh.T + gain @ r @ gain.T
-    mean = belief.mean + gain @ residual
-    return GaussianBelief(mean, 0.5 * (cov + cov.T)), residual, s
+    h, r = np.asarray(meas_matrix, dtype=float), np.asarray(meas_cov, dtype=float)
+    mean, cov, residuals, s, _ = _update(belief.mean[None], belief.cov[None], z, h, r)
+    return GaussianBelief(mean[0], cov[0]), residuals[0], s[0]
 
 
 def gaussian_likelihood(residual: np.ndarray, innovation_cov: np.ndarray) -> float:
@@ -218,18 +307,11 @@ def gaussian_likelihood(residual: np.ndarray, innovation_cov: np.ndarray) -> flo
 
     Raises:
         DegenerateMeasurementError: If the covariance is not positive
-            definite.
+            definite or its condition number exceeds
+            MAX_MEASUREMENT_CONDITION.
     """
-    r = np.asarray(residual, dtype=float)
-    s = np.asarray(innovation_cov, dtype=float)
-    try:
-        chol = np.linalg.cholesky(s)
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateMeasurementError(
-            "innovation covariance is not positive definite"
-        ) from exc
-    w = np.linalg.solve(chol, r)
-    return math.exp(-0.5 * float(w @ w)) / (TWO_PI * chol[0, 0] * chol[1, 1])
+    s = np.asarray(innovation_cov, dtype=float)[None]
+    return float(_factor(s, np.asarray(residual, dtype=float)[None])[1][0])
 
 
 def update_mode_probabilities(
@@ -240,7 +322,7 @@ def update_mode_probabilities(
     If every product underflows to zero the predicted prior c_bar is
     returned unchanged so the filter stays alive.
     """
-    products = np.asarray(likelihoods, dtype=float) * np.asarray(c_bar, dtype=float)
+    products = np.asarray(likelihoods, dtype=float) * c_bar
     total = float(products.sum())
     if total <= 0.0:
         return np.asarray(c_bar, dtype=float).copy()
@@ -251,13 +333,7 @@ def fuse_estimates(
     per_mode: list[GaussianBelief], mode_probs: np.ndarray
 ) -> GaussianBelief:
     """Moment-matched single Gaussian over the mode-conditioned bank."""
-    mu = np.asarray(mode_probs, dtype=float)
-    mean = sum(mu[j] * per_mode[j].mean for j in range(N_MODES))
-    cov = np.zeros_like(per_mode[0].cov)
-    for j in range(N_MODES):
-        d = per_mode[j].mean - mean
-        cov = cov + mu[j] * (per_mode[j].cov + np.outer(d, d))
-    return GaussianBelief(mean, 0.5 * (cov + cov.T))
+    return _fuse(*_stack(per_mode), np.asarray(mode_probs, dtype=float))
 
 
 def initial_belief(z0: np.ndarray) -> ImmBelief:
@@ -268,43 +344,37 @@ def initial_belief(z0: np.ndarray) -> ImmBelief:
     """
     z0 = np.asarray(z0, dtype=float)
     mean = np.array([z0[0], 0.0, z0[1], 0.0, 0.0])
-    per_mode = [GaussianBelief(mean.copy(), INITIAL_COV.copy()) for _ in range(N_MODES)]
-    return ImmBelief(per_mode, np.full(N_MODES, 1.0 / N_MODES))
+    return ImmBelief._from_arrays(
+        np.tile(mean, (N_MODES, 1)),
+        np.tile(INITIAL_COV, (N_MODES, 1, 1)),
+        np.full(N_MODES, 1.0 / N_MODES),
+    )
 
 
 def imm_step(belief: ImmBelief, z: np.ndarray, model: ImmModel) -> ImmStepOutput:
     """One full estimator cycle on a new measurement.
 
-    Order: mixing probabilities, mixed initial conditions, per-mode
-    predict/update/likelihood, mode probability update, fusion. The
+    Order: mixing probabilities, mixed initial conditions, predict and
+    update of the whole bank, mode probability update, fusion. The
     turn-mode transitions are rebuilt around the incoming fused turn-rate
     estimate.
     """
     flags: list[str] = []
-    base_rate = float(
-        np.dot(belief.mode_probs, [b.mean[4] for b in belief.per_mode])
-    )
-    transitions = model.transition_matrices(base_rate)
+    mu_prev = belief.mode_probs
+    transitions = model.transition_matrices(float(mu_prev @ belief.means[:, 4]))
 
-    mu_ij, c_bar = mixing_probabilities(model.pi, belief.mode_probs)
-    if np.any(c_bar <= 0.0):
+    mu_ij, c_bar = mixing_probabilities(model.pi, mu_prev)
+    if min(c_bar.tolist()) <= 0.0:
         flags.append("degenerate_mixing")
-    mixed = mix_initial_conditions(belief.per_mode, mu_ij)
-
-    posteriors: list[GaussianBelief] = []
-    likelihoods = np.zeros(N_MODES)
-    innovations: list[tuple[np.ndarray, np.ndarray]] = []
-    for j in range(N_MODES):
-        pred = kf_predict(mixed[j], transitions[j], model.process_cov)
-        post, residual, s = kf_update(pred, z, model.meas_matrix, model.meas_cov)
-        likelihoods[j] = gaussian_likelihood(residual, s)
-        posteriors.append(post)
-        innovations.append((residual, s))
-
-    if not np.any(likelihoods * c_bar > 0.0):
-        flags.append("likelihood_underflow")
-    mu = update_mode_probabilities(likelihoods, c_bar)
-    fused = fuse_estimates(posteriors, mu)
-    return ImmStepOutput(
-        ImmBelief(posteriors, mu), fused, likelihoods, innovations, tuple(flags)
+    means, covs = _moment_match(belief.means, belief.covs, mu_ij)
+    means, covs = _predict(means, covs, transitions, model.process_cov)
+    means, covs, residuals, s, likelihoods = _update(
+        means, covs, z, model.meas_matrix, model.meas_cov
     )
+
+    mu = update_mode_probabilities(likelihoods, c_bar)
+    if not likelihoods @ c_bar > 0.0:
+        flags.append("likelihood_underflow")
+    bank = ImmBelief._from_arrays(means, covs, mu)
+    fused = _fuse(means, covs, mu)
+    return ImmStepOutput(bank, fused, likelihoods, residuals, s, tuple(flags))

@@ -289,7 +289,7 @@ def run_episode(config: ScenarioConfig) -> EpisodeTrace:
         dynamics.measure(state, meas_factor @ rng_meas.standard_normal(2))
     )
     # z of step 0 is the fix the track was initialized from
-    z_k = belief.per_mode[0].mean[[0, 2]]
+    z_k = belief.means[0, [0, 2]]
     fused = imm.fuse_estimates(belief.per_mode, belief.mode_probs)
     advisory: avoidance.Advisory | None = None
     reported_mode = int(dynamics.Mode.STRAIGHT)

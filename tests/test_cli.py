@@ -132,6 +132,14 @@ def test_check_subcommand_passes(capsys):
     assert lines and all(ln.startswith("PASS") for ln in lines)
 
 
+def test_check_subcommand_rejects_simulation_options(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["check", "--seed", "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert cli_main(["check"]) == 0
+
+
 def test_trace_determinism_across_interfaces(tmp_path):
     """The CLI writes exactly what the library computes."""
     from immcda.scenario import ScenarioConfig, run_episode

@@ -17,7 +17,6 @@ from immcda.dynamics import (
     evolve_mode_distribution,
     measure,
     mode_matrix,
-    noise_input_matrix,
     sample_next_mode,
     step_truth,
     validate_transition_matrix,
@@ -134,20 +133,6 @@ def test_step_truth_additive_noise():
     noise = np.array([1.0, 2.0, 3.0, 4.0, 0.0])
     out = step_truth(state, Mode.STRAIGHT, 1.0, noise=noise)
     assert np.array_equal(out, np.array([101.0, 102.0, 3.0, 4.0, 0.0]))
-
-
-def test_noise_input_matrix_shape_and_structure():
-    g = noise_input_matrix(2.0)
-    assert g.shape == (5, 3)
-    assert g[0, 0] == pytest.approx(2.0)   # dt^2 / 2
-    assert g[1, 0] == pytest.approx(2.0)   # dt
-    assert g[2, 1] == pytest.approx(2.0)
-    assert g[3, 1] == pytest.approx(2.0)
-    # no disturbance channel drives the turn-rate state
-    assert np.all(g[4] == 0.0)
-    assert np.count_nonzero(g) == 4
-    with pytest.raises(ValueError):
-        noise_input_matrix(0.0)
 
 
 def test_measure_picks_positions():
