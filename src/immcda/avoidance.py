@@ -7,6 +7,10 @@ escape advisory is the reference turn angle theta that makes the predicted
 track tangent to the protected circle; applying the advisory leaves the
 relative position continuous and rotates the relative track direction by
 -theta about the current position.
+
+Detection, escape geometry and deflection run on stacks of tracks
+(detect_conflicts, escape_angles, deflect_track, deflect_banks); the
+single-track functions run the same code on a stack of one.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ class Advisory:
     solution; beta the half-angle subtended by the protected circle; gamma
     the signed angle from the predicted direction to the origin direction.
     interior marks the no-tangent case with the track already inside the
-    circle.
+    circle. From escape_angles every field is an array over the tracks.
     """
 
     theta: float
@@ -54,9 +58,19 @@ class Advisory:
     interior: bool = False
 
 
-def _rotation(theta: float) -> np.ndarray:
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[c, -s], [s, c]])
+def _rotations(theta) -> np.ndarray:
+    theta = np.asarray(theta, dtype=float)
+    r = np.empty(theta.shape + (2, 2))
+    r[..., 0, 0] = r[..., 1, 1] = np.cos(theta)
+    r[..., 1, 0] = np.sin(theta)
+    r[..., 0, 1] = -r[..., 1, 0]
+    return r
+
+
+def _horizon_points(position, step_delta, horizons) -> tuple[np.ndarray, np.ndarray]:
+    # points (..., H, 2) and their ranges (..., H), one per horizon
+    points = position[..., None, :] + horizons[:, None] * step_delta[..., None, :]
+    return points, np.hypot(points[..., 0], points[..., 1])
 
 
 def predict_range(
@@ -65,10 +79,40 @@ def predict_range(
     """Range prediction j steps ahead along a fixed per-step displacement."""
     if j < 1:
         raise ValueError("horizon j must be >= 1")
-    position = np.asarray(position, dtype=float)
-    point = position + j * np.asarray(step_delta, dtype=float)
-    rng = float(np.hypot(point[0], point[1]))
-    return ConflictPrediction(j, point, rng, rng < r_safe)
+    points, ranges = _horizon_points(
+        np.asarray(position, dtype=float),
+        np.asarray(step_delta, dtype=float),
+        np.array([float(j)]),
+    )
+    rng = float(ranges[0])
+    return ConflictPrediction(j, points[0], rng, rng < r_safe)
+
+
+def detect_conflicts(
+    est_positions: np.ndarray,
+    est_velocities: np.ndarray,
+    dt: float,
+    r_safe: float,
+    max_horizon: int = DEFAULT_LOOKAHEAD,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """First unsafe straight-line prediction within the lookahead, per track.
+
+    Tracks are rows of est_positions and est_velocities (N, 2). Every
+    horizon j = 1..max_horizon is predicted with per-step displacement
+    est_velocity * dt; unsafe means predicted range strictly below r_safe.
+
+    Returns:
+        (horizon_j, points, ranges): the first unsafe horizon of each
+        track, 0 where none is unsafe, and the predicted points (N, H, 2)
+        and ranges (N, H) at every horizon; horizon j is column j - 1.
+    """
+    if max_horizon < 1:
+        raise ValueError("max_horizon must be >= 1")
+    horizons = np.arange(1.0, max_horizon + 1.0)
+    points, ranges = _horizon_points(est_positions, est_velocities * np.asarray(dt), horizons)
+    unsafe = ranges < r_safe
+    horizon_j = np.where(unsafe.any(axis=-1), unsafe.argmax(axis=-1) + 1, 0)
+    return horizon_j, points, ranges
 
 
 def detect_conflict(
@@ -78,27 +122,31 @@ def detect_conflict(
     r_safe: float,
     max_horizon: int = DEFAULT_LOOKAHEAD,
 ) -> ConflictPrediction | None:
-    """First unsafe straight-line prediction within the lookahead, or None.
+    """First unsafe straight-line prediction within the lookahead, or None:
+    detect_conflicts for a single track."""
+    j, points, ranges = detect_conflicts(
+        np.asarray(est_position, dtype=float)[None],
+        np.asarray(est_velocity, dtype=float)[None],
+        dt,
+        r_safe,
+        max_horizon,
+    )
+    j = int(j[0])
+    if not j:
+        return None
+    return ConflictPrediction(j, points[0, j - 1], float(ranges[0, j - 1]), True)
 
-    Horizons are checked in order j = 1..max_horizon with per-step
-    displacement est_velocity * dt; unsafe means predicted range strictly
-    below r_safe.
-    """
-    delta = np.asarray(est_velocity, dtype=float) * dt
-    for j in range(1, max_horizon + 1):
-        pred = predict_range(est_position, delta, j, r_safe)
-        if pred.unsafe:
-            return pred
-    return None
 
-
-def escape_angle(
-    position: np.ndarray,
-    predicted_point: np.ndarray,
+def escape_angles(
+    positions: np.ndarray,
+    predicted_points: np.ndarray,
     r_safe: float,
-    trigger_j: int = 1,
+    trigger_j: np.ndarray,
 ) -> Advisory:
-    """Advisory that turns the predicted track tangent to the circle.
+    """Advisories that turn each predicted track tangent to the circle.
+
+    Tracks are rows of positions and predicted_points (N, 2); every field
+    of the returned Advisory is an array over them.
 
     From the track position b, the protected circle subtends the
     half-angle beta = asin(r_safe / |b|) around the direction to the
@@ -110,34 +158,45 @@ def escape_angle(
     Inside the circle no tangent exists: the advisory is the full clamp
     turn with sign chosen to grow the range fastest, marked interior.
     """
-    b = np.asarray(position, dtype=float)
-    c = np.asarray(predicted_point, dtype=float)
-    bo = float(np.hypot(b[0], b[1]))
-    along = c - b
-    to_origin = -b
-    cross = along[0] * to_origin[1] - along[1] * to_origin[0]
-    dot = along[0] * to_origin[0] + along[1] * to_origin[1]
-    gamma = math.atan2(cross, dot)
-    if bo < r_safe:
-        theta_unclamped = math.copysign(MAX_BANK_ANGLE, cross) if cross != 0.0 else MAX_BANK_ANGLE
-        return Advisory(
-            theta=theta_unclamped,
-            theta_unclamped=theta_unclamped,
-            trigger_j=trigger_j,
-            beta=0.5 * math.pi,
-            gamma=gamma,
-            interior=True,
-        )
-    beta = math.asin(min(1.0, r_safe / bo))
-    side = 1.0 if gamma >= 0.0 else -1.0
-    theta_unclamped = side * beta - gamma
-    theta = max(-MAX_BANK_ANGLE, min(MAX_BANK_ANGLE, theta_unclamped))
+    bx, by = positions[..., 0], positions[..., 1]
+    bo = np.hypot(bx, by)
+    # cross and dot products of along = c - b with to_origin = -b
+    ax = predicted_points[..., 0] - bx
+    ay = predicted_points[..., 1] - by
+    cross = ay * bx - ax * by
+    dot = -(ax * bx + ay * by)
+    gamma = np.arctan2(cross, dot)
+    interior = bo < r_safe
+    # inside the circle the ratio reads 1, so beta is the right angle
+    beta = np.arcsin(r_safe / np.maximum(bo, r_safe))
+    tangent = np.where(gamma >= 0.0, beta, -beta) - gamma
+    full_turn = np.where(cross < 0.0, -MAX_BANK_ANGLE, MAX_BANK_ANGLE)
+    theta_unclamped = np.where(interior, full_turn, tangent)
+    theta = np.minimum(np.maximum(theta_unclamped, -MAX_BANK_ANGLE), MAX_BANK_ANGLE)
+    return Advisory(theta, theta_unclamped, trigger_j, beta, gamma, interior)
+
+
+def escape_angle(
+    position: np.ndarray,
+    predicted_point: np.ndarray,
+    r_safe: float,
+    trigger_j: int = 1,
+) -> Advisory:
+    """Advisory that turns the predicted track tangent to the circle:
+    escape_angles for a single track."""
+    adv = escape_angles(
+        np.asarray(position, dtype=float)[None],
+        np.asarray(predicted_point, dtype=float)[None],
+        r_safe,
+        np.array([trigger_j]),
+    )
     return Advisory(
-        theta=theta,
-        theta_unclamped=theta_unclamped,
+        theta=float(adv.theta[0]),
+        theta_unclamped=float(adv.theta_unclamped[0]),
         trigger_j=trigger_j,
-        beta=beta,
-        gamma=gamma,
+        beta=float(adv.beta[0]),
+        gamma=float(adv.gamma[0]),
+        interior=bool(adv.interior[0]),
     )
 
 
@@ -149,37 +208,50 @@ def rotate_frame(state: np.ndarray, theta: float) -> np.ndarray:
     the turn-rate component is untouched, and all norms are preserved.
     """
     state = np.asarray(state, dtype=float)
-    r = _rotation(-theta)
-    out = state.astype(float).copy()
+    r = _rotations(-theta)
+    out = state.copy()
     out[_POS] = r @ state[_POS]
     out[_VEL] = r @ state[_VEL]
     return out
 
 
-def deflect_track(state: np.ndarray, theta: float) -> np.ndarray:
-    """Applies an advisory turn to a relative state.
+def deflect_track(state: np.ndarray, theta) -> np.ndarray:
+    """Applies an advisory turn to a relative state, or to a stack of
+    states (..., 5) with one angle each.
 
     The reference's turn leaves the relative position continuous and
     rotates the relative track direction by -theta, so only the velocity
     pair rotates. Range to origin is untouched.
     """
     state = np.asarray(state, dtype=float)
-    out = state.astype(float).copy()
-    out[_VEL] = _rotation(-theta) @ state[_VEL]
+    out = state.copy()
+    out[..., _VEL] = (_rotations(np.negative(theta)) @ state[..., _VEL, None])[..., 0]
     return out
 
 
-def apply_avoidance(belief: ImmBelief, advisory: Advisory) -> ImmBelief:
-    """Deflects the whole bank by the advisory angle in one stacked rotation.
+def deflect_banks(
+    means: np.ndarray, covs: np.ndarray, theta: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Deflects N filter banks, means (N, 3, 5) and covs (N, 3, 5, 5), each
+    by its advisory angle theta (N,) in one stacked rotation.
 
     Means transform like states under deflect_track; covariances are
     conjugated by the matching block rotation, which is orthogonal, so
     per-mode eigenvalues and the estimated range to the origin are
-    unchanged. Mode probabilities are untouched.
+    unchanged.
     """
-    t = np.eye(5)
-    t[np.ix_(_VEL, _VEL)] = _rotation(-advisory.theta)
-    covs = t @ belief.covs @ t.T
-    return ImmBelief._from_arrays(
-        belief.means @ t.T, 0.5 * (covs + covs.swapaxes(1, 2)), belief.mode_probs.copy()
+    t = np.zeros(theta.shape + (5, 5))
+    t[..., 0, 0] = t[..., 2, 2] = t[..., 4, 4] = 1.0  # position and turn rate stay
+    t[..., 1::2, 1::2] = _rotations(-theta)
+    t_t = t.swapaxes(-1, -2)
+    covs = t[..., None, :, :] @ covs @ t_t[..., None, :, :]
+    return means @ t_t, 0.5 * (covs + covs.swapaxes(-1, -2))
+
+
+def apply_avoidance(belief: ImmBelief, advisory: Advisory) -> ImmBelief:
+    """Deflects the whole bank by the advisory angle: deflect_banks on a
+    stack of one. Mode probabilities are untouched."""
+    means, covs = deflect_banks(
+        belief.means[None], belief.covs[None], np.array([advisory.theta])
     )
+    return ImmBelief._from_arrays(means[0], covs[0], belief.mode_probs.copy())

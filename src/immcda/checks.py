@@ -10,13 +10,21 @@ from __future__ import annotations
 import math
 import os
 import tempfile
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from . import avoidance, dynamics, imm, traceio
-from .scenario import ScenarioConfig, run_episode, run_monte_carlo
+from .scenario import EpisodeTrace, ScenarioConfig, run_episode, run_monte_carlo
+
+
+# Equivalence rule for two traces of one episode, as the golden test
+# applies it: discrete outputs identical, continuous ones within tolerance.
+TRACE_RTOL = 1e-9
+TRACE_ATOL = 1e-12
+_DISCRETE_OUTPUTS = ("true_mode", "est_mode", "trigger_j")
+_CONTINUOUS_OUTPUTS = ("truth", "z", "est", "mode_probs", "advisory_theta", "separation")
 
 
 @dataclass(frozen=True)
@@ -24,6 +32,22 @@ class CheckResult:
     name: str
     passed: bool
     detail: str = ""
+
+
+def trace_differences(a: EpisodeTrace, b: EpisodeTrace) -> list[str]:
+    """Outputs in which two traces of one episode disagree under the
+    equivalence rule; empty when they agree."""
+    diffs = [k for k in _DISCRETE_OUTPUTS if not np.array_equal(getattr(a, k), getattr(b, k))]
+    if a.flags != b.flags:
+        diffs.append("flags")
+    diffs.extend(
+        k
+        for k in _CONTINUOUS_OUTPUTS
+        if not np.allclose(
+            getattr(a, k), getattr(b, k), rtol=TRACE_RTOL, atol=TRACE_ATOL, equal_nan=True
+        )
+    )
+    return diffs
 
 
 def _check_turn_matrix_orthogonality() -> CheckResult:
@@ -168,7 +192,7 @@ def _check_tangency() -> CheckResult:
         adv = avoidance.escape_angle(b, c, r_safe)
         if abs(adv.theta) > math.pi / 4 + 1e-12:
             return CheckResult("escape_tangency", False, "theta left the clamp range")
-        c_new = b + avoidance._rotation(-adv.theta_unclamped) @ (c - b)
+        c_new = b + avoidance._rotations(-adv.theta_unclamped) @ (c - b)
         d = c_new - b
         d /= np.hypot(d[0], d[1])
         t_foot = float(d @ -b)
@@ -191,6 +215,20 @@ def _check_determinism() -> CheckResult:
         and np.array_equal(a.advisory_theta, b.advisory_theta, equal_nan=True)
     )
     return CheckResult("episode_determinism", same)
+
+
+def _check_batched_matches_single() -> CheckResult:
+    for cda in (True, False):
+        batch = run_monte_carlo(ScenarioConfig(seed=11, cda_enabled=cda), 4, keep_traces=True)
+        for trace in batch.traces:
+            diffs = trace_differences(trace, run_episode(trace.config))
+            if diffs:
+                return CheckResult(
+                    "batched_matches_single",
+                    False,
+                    f"cda_enabled={cda} seed {trace.config.seed}: {', '.join(diffs)} differ",
+                )
+    return CheckResult("batched_matches_single", True)
 
 
 def _check_roundtrip() -> CheckResult:
@@ -227,6 +265,7 @@ _ALL_CHECKS: tuple[Callable[[], CheckResult], ...] = (
     _check_degenerate_kf_equivalence,
     _check_tangency,
     _check_determinism,
+    _check_batched_matches_single,
     _check_roundtrip,
 )
 

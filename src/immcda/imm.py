@@ -1,14 +1,15 @@
 """Interacting-multiple-model estimator over the three flight modes.
 
 The filter bank is stacked arrays: means (3, 5), covs (3, 5, 5) and mode
-probabilities (3,). One cycle mixes the bank under the mode transition
-probabilities, predicts and updates all three mode-matched Kalman filters
-at once on the new position fix, reweighs the modes by measurement
-likelihood, and fuses the bank into one Gaussian; mixing and fusion are the
-same moment match. Each 2x2 innovation covariance is factored once, in
-closed form, for the condition guard, the gain and the likelihood. The
-straight-mode transition is built once per model; the turn-mode ones are
-rebuilt each cycle around the fused turn-rate estimate. The per-belief
+probabilities (3,); a stack of N banks adds a leading axis. One cycle
+mixes the bank under the mode transition probabilities, predicts and
+updates all three mode-matched Kalman filters at once on the new position
+fix, reweighs the modes by measurement likelihood, and fuses the bank into
+one Gaussian; mixing and fusion are the same moment match. Each 2x2
+innovation covariance is factored once, in closed form, for the condition
+guard, the gain and the likelihood. The per-mode transitions are rebuilt
+each cycle around each bank's fused turn-rate estimate. imm_step_batch runs
+the cycle for N banks, each on its own fix; imm_step and the per-belief
 functions run the same stacked kernels on a stack of one.
 """
 
@@ -26,7 +27,9 @@ from .dynamics import (
     PROCESS_NOISE_COV,
     STATE_DIM,
     TRANSITION_MATRIX,
+    coordinated_turn_matrix,
     mode_matrix,
+    mode_rates,
     validate_transition_matrix,
 )
 
@@ -36,6 +39,14 @@ TWO_PI = 2.0 * math.pi
 
 # Innovation covariances with condition numbers beyond this are rejected.
 MAX_MEASUREMENT_CONDITION = 1e12
+
+_EYE = np.eye(STATE_DIM)
+# Constants of the per-step kernels as 0-d arrays: numpy combines those
+# with small arrays markedly faster than Python floats.
+_HALF = np.array(0.5)
+_MINUS_HALF = np.array(-0.5)
+_TWO_PI = np.array(TWO_PI)
+_MAX_CONDITION = np.array(MAX_MEASUREMENT_CONDITION)
 
 # Entry signs of the adjugate of a 2x2 matrix with its diagonal swapped.
 _ADJUGATE_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
@@ -127,6 +138,26 @@ class ImmStepOutput:
     flags: tuple[str, ...] = ()
 
 
+@dataclass
+class ImmBatchOutput:
+    """Result of one estimator cycle over a stack of N banks.
+
+    means (N, 3, 5), covs (N, 3, 5, 5) and mode_probs (N, 3) are the
+    posterior banks; likelihoods (N, 3), residuals (N, 3, 2) and
+    innovation_covs (N, 3, 2, 2) are per mode. flags pairs each numerical
+    fallback taken during the cycle with the indices of the banks that
+    took it.
+    """
+
+    means: np.ndarray
+    covs: np.ndarray
+    mode_probs: np.ndarray
+    likelihoods: np.ndarray
+    residuals: np.ndarray
+    innovation_covs: np.ndarray
+    flags: tuple[tuple[str, np.ndarray], ...] = ()
+
+
 @dataclass(frozen=True)
 class ImmModel:
     """Model bundle consumed by imm_step; validated once, then immutable."""
@@ -151,23 +182,29 @@ class ImmModel:
                 raise ValueError(f"{name} must have shape {shape}, got {value.shape}")
         if self.dt <= 0.0:
             raise ValueError("dt must be positive")
-        checked["_straight"] = mode_matrix(Mode.STRAIGHT, 0.0, self.dt)
+        checked["_mode_array"] = np.array([int(Mode(m)) for m in self.modes])
         for name, value in checked.items():
             object.__setattr__(self, name, value)
 
-    def transition_matrices(self, base_rate: float) -> np.ndarray:
-        """Stacked (3, 5, 5) per-mode transition matrices around base_rate."""
-        straight, dt = self._straight, self.dt
-        return np.array(
-            [straight if m == Mode.STRAIGHT else mode_matrix(m, base_rate, dt) for m in self.modes]
-        )
+    def transition_matrices(self, base_rate) -> np.ndarray:
+        """Stacked (..., 3, 5, 5) per-mode transition matrices around base_rate,
+        a scalar or an array of N base rates."""
+        return mode_matrix(self._mode_array, np.asarray(base_rate)[..., None], self.dt)
+
+    def turn_rates(self, means: np.ndarray, mode_probs: np.ndarray) -> np.ndarray:
+        """Turn rates (..., 3) of the per-mode transitions of banks (..., 3, 5):
+        the modes' offsets around each bank's fused turn-rate estimate."""
+        base = (mode_probs[..., None, :] @ means[..., 4:])[..., 0]
+        return mode_rates(self._mode_array, base)
 
 
-# --- stacked kernels: leading axis k runs over the beliefs in the stack ---
+# --- stacked kernels: the last axis (vectors) or two (matrices) hold one
+# --- belief, the axis before them runs over a bank's modes, and any
+# --- leading axes run over banks
 
 
 def _symmetrize(covs: np.ndarray) -> np.ndarray:
-    return 0.5 * (covs + covs.swapaxes(-1, -2))
+    return _HALF * (covs + covs.swapaxes(-1, -2))
 
 
 def _stack(per_mode: list[GaussianBelief]) -> tuple[np.ndarray, np.ndarray]:
@@ -176,16 +213,16 @@ def _stack(per_mode: list[GaussianBelief]) -> tuple[np.ndarray, np.ndarray]:
 
 def _moment_match(means, covs, weights) -> tuple[np.ndarray, np.ndarray]:
     """Gaussians matching the bank's mixture under each weight column:
-    weights (n, k) over means (n, d) and covs (n, d, d) give (k, d), (k, d, d)."""
-    w = weights[:, :, None]
-    mean = (w * means[:, None, :]).sum(axis=0)
-    spread = means[:, None, :] - mean
-    terms = covs[:, None] + spread[..., :, None] * spread[..., None, :]
-    return mean, _symmetrize((w[..., None] * terms).sum(axis=0))
+    weights (..., n, k) over means (..., n, d) and covs (..., n, d, d) give
+    (..., k, d) and (..., k, d, d)."""
+    mean = weights.swapaxes(-1, -2) @ means
+    spread = means[..., :, None, :] - mean[..., None, :, :]
+    terms = covs[..., :, None, :, :] + spread[..., :, None] * spread[..., None, :]
+    return mean, _symmetrize((weights[..., None, None] * terms).sum(axis=-4))
 
 
 def _predict(means, covs, transitions, process_cov) -> tuple[np.ndarray, np.ndarray]:
-    mean = (transitions @ means[:, :, None])[:, :, 0]
+    mean = (transitions @ means[..., None])[..., 0]
     cov = transitions @ covs @ transitions.swapaxes(-1, -2) + process_cov
     return mean, _symmetrize(cov)
 
@@ -198,46 +235,63 @@ def _factor(s: np.ndarray, residuals: np.ndarray) -> tuple[np.ndarray, np.ndarra
     lam_min = det/lam_max guard it: DegenerateMeasurementError unless every
     S is positive definite with condition number <= MAX_MEASUREMENT_CONDITION.
     """
-    if s.shape[1:] != (MEAS_DIM, MEAS_DIM):
-        raise ValueError(f"innovation covariance must be 2x2, got {s.shape[1:]}")
-    a, b, c = s[:, 0, 0], s[:, 0, 1], s[:, 1, 1]
+    if s.shape[-2:] != (MEAS_DIM, MEAS_DIM):
+        raise ValueError(f"innovation covariance must be 2x2, got {s.shape[-2:]}")
+    a, b, c = s[..., 0, 0], s[..., 0, 1], s[..., 1, 1]
     det = a * c - b * b
-    lam_max = 0.5 * (a + c) + np.hypot(0.5 * (a - c), b)
+    lam_max = _HALF * (a + c) + np.hypot(_HALF * (a - c), b)
     # lam_min > 0 and lam_max <= bound * lam_min, times lam_max so nothing
     # divides by zero; NaN fails every comparison
-    bounded = lam_max**2 <= MAX_MEASUREMENT_CONDITION * det
-    usable = (lam_max > 0.0) & (det > 0.0) & bounded
-    if not all(usable.tolist()):
+    bounded = lam_max**2 <= _MAX_CONDITION * det
+    usable = (np.minimum(lam_max, det) > 0.0) & bounded
+    if np.count_nonzero(usable) < usable.size:
         raise DegenerateMeasurementError(
             "innovation covariance is not positive definite with condition "
             f"number <= {MAX_MEASUREMENT_CONDITION:g}"
         )
-    s_inv = s[:, ::-1, ::-1] * _ADJUGATE_SIGNS / det[:, None, None]
-    maha = (residuals[:, None, :] @ s_inv @ residuals[:, :, None])[:, 0, 0]
-    return s_inv, np.exp(-0.5 * maha) / (TWO_PI * np.sqrt(det))
+    s_inv = s[..., ::-1, ::-1] * _ADJUGATE_SIGNS / det[..., None, None]
+    maha = (residuals[..., None, :] @ s_inv @ residuals[..., :, None])[..., 0, 0]
+    return s_inv, np.exp(_MINUS_HALF * maha) / (_TWO_PI * np.sqrt(det))
 
 
 def _update(means, covs, z, meas_matrix, meas_cov) -> tuple[np.ndarray, ...]:
-    """Joseph-form update of every belief on one fix z.
+    """Joseph-form update of every belief on its bank's fix z (..., 2).
 
     Returns posterior means and covs, residuals, innovation covariances
     and likelihoods.
     """
     h, r = meas_matrix, meas_cov
-    residuals = z - means @ h.T
+    residuals = z[..., None, :] - means @ h.T
     pht = covs @ h.T
     s = _symmetrize(h @ pht + r)
     s_inv, likelihoods = _factor(s, residuals)
     gain = pht @ s_inv
-    i_kh = np.eye(means.shape[1]) - gain @ h
+    i_kh = _EYE - gain @ h
     cov = i_kh @ covs @ i_kh.swapaxes(-1, -2) + gain @ r @ gain.swapaxes(-1, -2)
-    mean = means + (gain @ residuals[:, :, None])[:, :, 0]
+    mean = means + (gain @ residuals[..., None])[..., 0]
     return mean, _symmetrize(cov), residuals, s, likelihoods
 
 
 def _fuse(means, covs, mode_probs) -> GaussianBelief:
     mean, cov = _moment_match(means, covs, mode_probs[:, None])
     return GaussianBelief(mean[0], cov[0])
+
+
+def fused_means(means: np.ndarray, mode_probs: np.ndarray) -> np.ndarray:
+    """Means of the moment-matched fusion of banks (..., 3, 5) under
+    mode_probs (..., 3); equal to fuse_estimates' mean."""
+    return (mode_probs[..., None, :] @ means)[..., 0, :]
+
+
+def _mixing(pi, mu_prev) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    # mixing weights, c_bar, and which rows fell back (None when none did)
+    c_bar = (mu_prev[..., None, :] @ pi)[..., 0, :]
+    mu_ij = pi * mu_prev[..., :, None]
+    live = c_bar > 0.0
+    if np.count_nonzero(live) == live.size:
+        return mu_ij / c_bar[..., None, :], c_bar, None
+    mu_ij = mu_ij / np.where(live, c_bar, 1.0)[..., None, :]
+    return np.where(live[..., None, :], mu_ij, 1.0 / N_MODES), c_bar, ~live.all(axis=-1)
 
 
 def mixing_probabilities(
@@ -248,23 +302,15 @@ def mixing_probabilities(
     Args:
         pi: Row-stochastic mode transition matrix, already validated
             (ImmModel and ScenarioConfig validate theirs).
-        mu_prev: Previous mode probabilities.
+        mu_prev: Previous mode probabilities (..., 3), one row per bank.
 
     Returns:
-        (mu_ij, c_bar) where mu_ij[i, j] is the probability of having been
-        in mode i given mode j now, and c_bar = pi^T mu_prev. A column with
-        c_bar[j] = 0 (mode j unreachable) is replaced by the uniform
-        distribution so the mixer stays defined.
+        (mu_ij, c_bar) where mu_ij[..., i, j] is the probability of having
+        been in mode i given mode j now, and c_bar = pi^T mu_prev. A column
+        with c_bar[..., j] = 0 (mode j unreachable) is replaced by the
+        uniform distribution so the mixer stays defined.
     """
-    pi = np.asarray(pi, dtype=float)
-    mu_prev = np.asarray(mu_prev, dtype=float)
-    c_bar = pi.T @ mu_prev
-    mu_ij = pi * mu_prev[:, None]
-    if min(c_bar.tolist()) > 0.0:
-        return mu_ij / c_bar, c_bar
-    live = c_bar > 0.0
-    mu_ij[:, live] /= c_bar[live]
-    mu_ij[:, ~live] = 1.0 / N_MODES
+    mu_ij, c_bar, _ = _mixing(np.asarray(pi, dtype=float), np.asarray(mu_prev, dtype=float))
     return mu_ij, c_bar
 
 
@@ -298,6 +344,7 @@ def kf_update(
             MAX_MEASUREMENT_CONDITION.
     """
     h, r = np.asarray(meas_matrix, dtype=float), np.asarray(meas_cov, dtype=float)
+    z = np.asarray(z, dtype=float)
     mean, cov, residuals, s, _ = _update(belief.mean[None], belief.cov[None], z, h, r)
     return GaussianBelief(mean[0], cov[0]), residuals[0], s[0]
 
@@ -314,19 +361,27 @@ def gaussian_likelihood(residual: np.ndarray, innovation_cov: np.ndarray) -> flo
     return float(_factor(s, np.asarray(residual, dtype=float)[None])[1][0])
 
 
+def _reweigh(likelihoods, c_bar) -> tuple[np.ndarray, np.ndarray | None]:
+    # posterior mode probabilities, and which rows fell back (None when none did)
+    products = likelihoods * c_bar
+    total = products.sum(axis=-1, keepdims=True)
+    alive = total > 0.0
+    if np.count_nonzero(alive) == alive.size:
+        return products / total, None
+    mu = np.where(alive, products / np.where(alive, total, 1.0), c_bar)
+    return mu, ~alive[..., 0]
+
+
 def update_mode_probabilities(
     likelihoods: np.ndarray, c_bar: np.ndarray
 ) -> np.ndarray:
     """Posterior mode probabilities from likelihoods and predicted priors.
 
-    If every product underflows to zero the predicted prior c_bar is
-    returned unchanged so the filter stays alive.
+    Rows (..., 3) are banks. A row whose products all underflow to zero
+    keeps its predicted prior c_bar, so the filter stays alive.
     """
-    products = np.asarray(likelihoods, dtype=float) * c_bar
-    total = float(products.sum())
-    if total <= 0.0:
-        return np.asarray(c_bar, dtype=float).copy()
-    return products / total
+    c_bar = np.asarray(c_bar, dtype=float)
+    return _reweigh(np.asarray(likelihoods, dtype=float), c_bar)[0]
 
 
 def fuse_estimates(
@@ -336,45 +391,76 @@ def fuse_estimates(
     return _fuse(*_stack(per_mode), np.asarray(mode_probs, dtype=float))
 
 
-def initial_belief(z0: np.ndarray) -> ImmBelief:
-    """Track initialization from the first position fix.
+def initial_banks(z0: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Track initialization of N banks from their first fixes z0 (N, 2).
 
     All modes start equiprobable with identical beliefs: measured position,
     zero velocity, zero turn rate, and a broad diagonal covariance.
+    Returns means (N, 3, 5), covs (N, 3, 5, 5) and mode_probs (N, 3).
     """
     z0 = np.asarray(z0, dtype=float)
-    mean = np.array([z0[0], 0.0, z0[1], 0.0, 0.0])
-    return ImmBelief._from_arrays(
-        np.tile(mean, (N_MODES, 1)),
-        np.tile(INITIAL_COV, (N_MODES, 1, 1)),
-        np.full(N_MODES, 1.0 / N_MODES),
-    )
+    lead = z0.shape[:-1] + (N_MODES,)
+    means = np.zeros(lead + (STATE_DIM,))
+    means[..., 0] = z0[..., None, 0]
+    means[..., 2] = z0[..., None, 1]
+    covs = np.broadcast_to(INITIAL_COV, lead + INITIAL_COV.shape).copy()
+    return means, covs, np.full(lead, 1.0 / N_MODES)
 
 
-def imm_step(belief: ImmBelief, z: np.ndarray, model: ImmModel) -> ImmStepOutput:
-    """One full estimator cycle on a new measurement.
+def initial_belief(z0: np.ndarray) -> ImmBelief:
+    """Track initialization from the first position fix: initial_banks for
+    one bank."""
+    return ImmBelief._from_arrays(*initial_banks(z0))
 
+
+def imm_step_batch(
+    means: np.ndarray,
+    covs: np.ndarray,
+    mode_probs: np.ndarray,
+    z: np.ndarray,
+    model: ImmModel,
+) -> ImmBatchOutput:
+    """One full estimator cycle for N banks at once, each on its own fix.
+
+    means (N, 3, 5), covs (N, 3, 5, 5), mode_probs (N, 3) and z (N, 2).
     Order: mixing probabilities, mixed initial conditions, predict and
-    update of the whole bank, mode probability update, fusion. The
-    turn-mode transitions are rebuilt around the incoming fused turn-rate
-    estimate.
+    update of every bank, mode probability update. Each bank's turn-mode
+    transitions are rebuilt around its incoming fused turn-rate estimate.
     """
-    flags: list[str] = []
-    mu_prev = belief.mode_probs
-    transitions = model.transition_matrices(float(mu_prev @ belief.means[:, 4]))
-
-    mu_ij, c_bar = mixing_probabilities(model.pi, mu_prev)
-    if min(c_bar.tolist()) <= 0.0:
-        flags.append("degenerate_mixing")
-    means, covs = _moment_match(belief.means, belief.covs, mu_ij)
+    transitions = coordinated_turn_matrix(model.turn_rates(means, mode_probs), model.dt)
+    mu_ij, c_bar, degenerate = _mixing(model.pi, mode_probs)
+    means, covs = _moment_match(means, covs, mu_ij)
     means, covs = _predict(means, covs, transitions, model.process_cov)
     means, covs, residuals, s, likelihoods = _update(
         means, covs, z, model.meas_matrix, model.meas_cov
     )
+    mu, underflow = _reweigh(likelihoods, c_bar)
+    flags = ()
+    if degenerate is not None or underflow is not None:
+        flags = tuple(
+            (name, np.flatnonzero(rows))
+            for name, rows in (("degenerate_mixing", degenerate), ("likelihood_underflow", underflow))
+            if rows is not None
+        )
+    return ImmBatchOutput(means, covs, mu, likelihoods, residuals, s, flags)
 
-    mu = update_mode_probabilities(likelihoods, c_bar)
-    if not likelihoods @ c_bar > 0.0:
-        flags.append("likelihood_underflow")
-    bank = ImmBelief._from_arrays(means, covs, mu)
-    fused = _fuse(means, covs, mu)
-    return ImmStepOutput(bank, fused, likelihoods, residuals, s, tuple(flags))
+
+def imm_step(belief: ImmBelief, z: np.ndarray, model: ImmModel) -> ImmStepOutput:
+    """One full estimator cycle on a new measurement: imm_step_batch on a
+    stack of one bank, fused into one Gaussian."""
+    out = imm_step_batch(
+        belief.means[None],
+        belief.covs[None],
+        belief.mode_probs[None],
+        np.asarray(z, dtype=float)[None],
+        model,
+    )
+    means, covs, mu = out.means[0], out.covs[0], out.mode_probs[0]
+    return ImmStepOutput(
+        ImmBelief._from_arrays(means, covs, mu),
+        _fuse(means, covs, mu),
+        out.likelihoods[0],
+        out.residuals[0],
+        out.innovation_covs[0],
+        tuple(name for name, _ in out.flags),
+    )

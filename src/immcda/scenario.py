@@ -2,13 +2,18 @@
 
 Each episode spawns the intruder on a circle around the reference, aimed
 so that unmaneuvered straight flight would pierce the protected zone,
-then runs the truth, the estimator, and (optionally) the avoidance loop
-in lockstep. All randomness flows through four named substreams of one
-seed, so enabling or disabling avoidance compares the same noise.
+then runs the truth, the estimator, and (optionally) the avoidance loop.
+One engine advances a batch of episodes in lockstep, each per-episode
+quantity a row of a stacked array: run_monte_carlo feeds it chunks of
+seeds and run_episode is a batch of one, so an episode's trace is the same
+whichever batch runs it. All randomness flows through four named
+substreams of one seed, each drawn for the whole episode up front, so
+enabling or disabling avoidance compares the same noise.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field, replace
 
@@ -16,9 +21,22 @@ import numpy as np
 
 from . import avoidance, dynamics, imm
 
+# Episodes one engine call advances together. The per-step call overhead is
+# shared across them; throughput stops growing near this size, and a
+# chunk's arrays stay a few MB for default-length episodes.
+CHUNK_EPISODES = 256
+_STRAIGHT = int(dynamics.Mode.STRAIGHT)
+
+
+def _check_finite(value, key: str) -> np.ndarray:
+    value = np.asarray(value, dtype=float)
+    if not np.all(np.isfinite(value)):
+        raise ValueError(f"{key} must be finite")
+    return value
+
 
 def _check_covariance(cov: np.ndarray, shape: tuple[int, int], key: str) -> np.ndarray:
-    cov = np.asarray(cov, dtype=float)
+    cov = _check_finite(cov, key)
     if cov.shape != shape:
         raise ValueError(f"{key} must have shape {shape}, got {cov.shape}")
     scale = max(float(np.abs(cov).max()), 1.0)
@@ -65,6 +83,8 @@ class ScenarioConfig:
     mode_threshold: float | None = None
 
     def __post_init__(self) -> None:
+        for key in ("dt", "v_cruise", "r_safe", "spawn_radius", "avoid_margin", "pi"):
+            _check_finite(getattr(self, key), key)
         if self.dt <= 0.0:
             raise ValueError("dt must be positive")
         if self.steps < 1:
@@ -99,6 +119,13 @@ class ScenarioConfig:
         self.pi = dynamics.validate_transition_matrix(self.pi)
         self.process_cov = _check_covariance(self.process_cov, (5, 5), "process_cov")
         self.meas_cov = _check_covariance(self.meas_cov, (2, 2), "meas_cov")
+        # without noise on positions and velocities the track converges
+        # until only meas_cov keeps the innovation covariance regular
+        if not np.any(self.process_cov[:4, :4]) and np.linalg.eigvalsh(self.meas_cov)[0] <= 0.0:
+            raise ValueError(
+                "meas_cov must be positive definite when process_cov has no "
+                "position or velocity noise"
+            )
 
 
 @dataclass(frozen=True)
@@ -248,13 +275,50 @@ def init_scenario(
     return state, dynamics.Mode.STRAIGHT
 
 
-def run_episode(config: ScenarioConfig) -> EpisodeTrace:
-    """Simulates one episode; deterministic for a given config.
+def _with_seed(config: ScenarioConfig, seed: int) -> ScenarioConfig:
+    # a copy of an already validated config: callers check the seed range
+    # once per batch instead of validating every field per episode
+    out = copy.copy(config)
+    out.seed = seed
+    return out
 
-    Per step: advance the true mode and state, measure, run one estimator
-    cycle, then run conflict detection on the fused estimate and apply any
-    advisory to truth and belief alike. Step 0 records the spawn state and
-    the track initialization from the first fix.
+
+def _draw_episodes(
+    config: ScenarioConfig, seeds: list[int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Spawn states and every random draw of each episode, stacked.
+
+    Returns the initial truths (N, 5), the mode uniforms (N, steps - 1),
+    the process noise (N, steps - 1, 5) and the measurement noise
+    (N, steps, 2). Each substream is drawn in one block, in the order the
+    steps consume it.
+    """
+    n = config.steps
+    state = np.empty((len(seeds), 5))
+    u = np.empty((len(seeds), n - 1))
+    w = np.empty((len(seeds), n - 1, 5))
+    v = np.empty((len(seeds), n, 2))
+    for i, seed in enumerate(seeds):
+        rng_init, rng_mode, rng_process, rng_meas = _episode_rngs(seed)
+        state[i], _ = init_scenario(config, rng_init)
+        u[i] = rng_mode.random(n - 1)
+        w[i] = rng_process.standard_normal((n - 1, 5))
+        v[i] = rng_meas.standard_normal(2 * n).reshape(n, 2)
+    w = w @ _cov_factor(config.process_cov).T
+    w[..., 4] = 0.0  # the disturbance model has no turn-rate channel
+    return state, u, w, v @ _cov_factor(config.meas_cov).T
+
+
+def _run_lockstep(config: ScenarioConfig, seeds: list[int]) -> list[EpisodeTrace]:
+    """Simulates one episode per seed, all advanced together step by step.
+
+    Per step: advance the true modes and states, measure, run one estimator
+    cycle on every bank, then run conflict detection on the fused
+    estimates and apply each advisory to its episode's truth and bank
+    alike. Step 0 records the spawn states and the track initializations
+    from the first fixes. Every per-episode quantity is a row of a stacked
+    array, so an episode's trace does not depend on which others share the
+    call.
 
     The intruder flies straight until the encounter it was spawned into
     actually happens (first advisory, or first entry into the protected
@@ -262,125 +326,124 @@ def run_episode(config: ScenarioConfig) -> EpisodeTrace:
     holds a straight course on any step executing a maneuver, and may
     switch again as soon as the maneuver is over.
     """
-    rng_init, rng_mode, rng_process, rng_meas = _episode_rngs(config.seed)
-    process_factor = _cov_factor(config.process_cov)
-    meas_factor = _cov_factor(config.meas_cov)
+    configs = [_with_seed(config, seed) for seed in seeds]
+    state, u, w, v = _draw_episodes(config, seeds)
     model = imm.ImmModel(
         pi=config.pi,
         process_cov=config.process_cov,
         meas_cov=config.meas_cov,
         dt=config.dt,
     )
+    edges = dynamics.transition_edges(config.pi)
+    r_avoid = config.r_safe + config.avoid_margin
+    n_eps, n = len(seeds), config.steps
 
-    n = config.steps
-    truth = np.zeros((n, 5))
-    true_mode = np.zeros(n, dtype=int)
-    z_all = np.zeros((n, 2))
-    est = np.zeros((n, 5))
-    mode_probs = np.zeros((n, 3))
-    est_mode = np.zeros(n, dtype=int)
-    advisory_theta = np.full(n, np.nan)
-    trigger_j = np.zeros(n, dtype=int)
-    separation = np.zeros(n)
-    flags: list[tuple[str, ...]] = []
+    truth = np.empty((n_eps, n, 5))
+    true_mode = np.empty((n_eps, n), dtype=int)
+    z_all = np.empty((n_eps, n, 2))
+    est = np.empty((n_eps, n, 5))
+    mode_probs = np.empty((n_eps, n, 3))
+    est_mode = np.empty((n_eps, n), dtype=int)
+    separation = np.empty((n_eps, n))
+    advisory_theta = np.full((n_eps, n), np.nan)
+    trigger_j = np.zeros((n_eps, n), dtype=int)
+    events: list[tuple[np.ndarray, int, str]] = []  # (episodes, step, flag)
 
-    state, mode = init_scenario(config, rng_init)
-    belief = imm.initial_belief(
-        dynamics.measure(state, meas_factor @ rng_meas.standard_normal(2))
-    )
-    # z of step 0 is the fix the track was initialized from
-    z_k = belief.means[0, [0, 2]]
-    fused = imm.fuse_estimates(belief.per_mode, belief.mode_probs)
-    advisory: avoidance.Advisory | None = None
-    reported_mode = int(dynamics.Mode.STRAIGHT)
-
-    modes_live = False  # transitions start with the first conflict event
+    mode = np.full(n_eps, _STRAIGHT)
+    reported = mode.copy()
+    z = dynamics.measure(state, v[:, 0])
+    means, covs, mu = imm.initial_banks(z)
+    fused = imm.fused_means(means, mu)
+    advised = np.zeros(n_eps, dtype=bool)
+    modes_live = np.zeros(n_eps, dtype=bool)  # transitions start with the first conflict event
     for k in range(n):
-        step_flags: list[str] = []
         if k > 0:
-            u = rng_mode.random()  # drawn even when unused, to keep runs paired
-            if advisory is not None:
+            n_live = np.count_nonzero(modes_live)
+            if n_live:
+                sampled = dynamics.sample_next_modes(mode, edges, u[:, k - 1])
+                mode = sampled if n_live == n_eps else np.where(modes_live, sampled, mode)
+            if np.count_nonzero(advised):
                 # holds a straight course while a maneuver is under way;
                 # the mode process resumes on the next quiet step
-                mode = dynamics.Mode.STRAIGHT
-            elif modes_live:
-                mode = dynamics.sample_next_mode(mode, config.pi, u)
-            noise = process_factor @ rng_process.standard_normal(5)
-            noise[4] = 0.0  # the disturbance model has no turn-rate channel
-            state = dynamics.step_truth(state, mode, config.dt, noise)
-            z_k = dynamics.measure(state, meas_factor @ rng_meas.standard_normal(2))
-            out = imm.imm_step(belief, z_k, model)
-            belief, fused = out.belief, out.fused
-            step_flags.extend(out.flags)
+                mode = np.where(advised, _STRAIGHT, mode)
+            state = dynamics.step_truth(state, mode, config.dt, w[:, k - 1])
+            z = dynamics.measure(state, v[:, k])
+            out = imm.imm_step_batch(means, covs, mu, z, model)
+            means, covs, mu = out.means, out.covs, out.mode_probs
+            if out.flags:
+                events.extend((rows, k, name) for name, rows in out.flags)
+            fused = imm.fused_means(means, mu)
 
-        advisory = None
         if config.cda_enabled:
             # detect and aim against a slightly widened radius so that the
             # commanded tangent pass clears r_safe despite estimation error
-            r_avoid = config.r_safe + config.avoid_margin
-            pred = avoidance.detect_conflict(
-                fused.mean[[0, 2]],
-                fused.mean[[1, 3]],
-                config.dt,
-                r_avoid,
-                config.lookahead_max,
+            j, points, _ = avoidance.detect_conflicts(
+                fused[:, 0:3:2], fused[:, 1:4:2], config.dt, r_avoid, config.lookahead_max
             )
-            if pred is not None:
-                advisory = avoidance.escape_angle(
-                    fused.mean[[0, 2]],
-                    pred.predicted_point,
-                    r_avoid,
-                    trigger_j=pred.horizon_j,
+            advised = j > 0
+            if np.count_nonzero(advised):
+                f = np.flatnonzero(advised)
+                adv = avoidance.escape_angles(fused[f, 0:3:2], points[f, j[f] - 1], r_avoid, j[f])
+                tracks = avoidance.deflect_track(
+                    np.stack((state[f], fused[f]), axis=1), adv.theta[:, None]
                 )
-                state = avoidance.deflect_track(state, advisory.theta)
-                belief = avoidance.apply_avoidance(belief, advisory)
-                fused = imm.GaussianBelief(
-                    avoidance.deflect_track(fused.mean, advisory.theta), fused.cov
-                )
-                if advisory.interior:
-                    step_flags.append("interior_breach")
+                state[f], fused[f] = tracks[:, 0], tracks[:, 1]
+                means[f], covs[f] = avoidance.deflect_banks(means[f], covs[f], adv.theta)
+                advisory_theta[f, k] = adv.theta
+                trigger_j[f, k] = adv.trigger_j
+                if np.count_nonzero(adv.interior):
+                    events.append((f[adv.interior], k, "interior_breach"))
 
-        truth[k] = state
-        true_mode[k] = int(mode)
-        z_all[k] = z_k
-        est[k] = fused.mean
-        mode_probs[k] = belief.mode_probs
-        peak = int(np.argmax(belief.mode_probs)) + 1
-        if (
-            config.mode_threshold is not None
-            and float(belief.mode_probs.max()) < config.mode_threshold
-        ):
-            est_mode[k] = reported_mode
-        else:
-            est_mode[k] = peak
-        reported_mode = int(est_mode[k])
-        if advisory is not None:
-            advisory_theta[k] = advisory.theta
-            trigger_j[k] = advisory.trigger_j
-        separation[k] = math.hypot(state[0], state[2])
-        flags.append(tuple(step_flags))
-        if advisory is not None or separation[k] < config.r_safe:
-            modes_live = True
+        truth[:, k] = state
+        true_mode[:, k] = mode
+        z_all[:, k] = z
+        est[:, k] = fused
+        mode_probs[:, k] = mu
+        peak = mu.argmax(axis=1) + 1
+        if config.mode_threshold is not None:
+            peak = np.where(mu.max(axis=1) < config.mode_threshold, reported, peak)
+        est_mode[:, k] = reported = peak
+        separation[:, k] = sep = np.hypot(state[:, 0], state[:, 2])
+        modes_live |= advised | (sep < config.r_safe)
 
-    return EpisodeTrace(
-        config=config,
-        truth=truth,
-        true_mode=true_mode,
-        z=z_all,
-        est=est,
-        mode_probs=mode_probs,
-        est_mode=est_mode,
-        advisory_theta=advisory_theta,
-        trigger_j=trigger_j,
-        separation=separation,
-        flags=flags,
-    )
+    flags: list[list[tuple[str, ...]]] = [[()] * n for _ in seeds]
+    for rows, k, name in events:
+        for i in rows:
+            flags[i][k] += (name,)
+    return [
+        EpisodeTrace(
+            config=configs[i],
+            truth=truth[i],
+            true_mode=true_mode[i],
+            z=z_all[i],
+            est=est[i],
+            mode_probs=mode_probs[i],
+            est_mode=est_mode[i],
+            advisory_theta=advisory_theta[i],
+            trigger_j=trigger_j[i],
+            separation=separation[i],
+            flags=flags[i],
+        )
+        for i in range(n_eps)
+    ]
+
+
+def run_episode(config: ScenarioConfig) -> EpisodeTrace:
+    """Simulates one episode; deterministic for a given config.
+
+    The lockstep engine on a batch of one: the same trace as the episode's
+    entry in any run_monte_carlo batch that covers its seed.
+    """
+    return _run_lockstep(config, [config.seed])[0]
 
 
 def run_monte_carlo(
     config: ScenarioConfig, n_episodes: int, keep_traces: bool = False
 ) -> MonteCarloResult:
     """Runs n_episodes seeded config.seed + 0..n_episodes-1 and aggregates.
+
+    Episodes advance in lockstep, CHUNK_EPISODES at a time; each one's
+    trace is the one run_episode gives for its seed.
 
     Position RMSE values are pooled per axis over every step of every
     episode; mode accuracy is the pooled fraction of steps whose most
@@ -389,6 +452,7 @@ def run_monte_carlo(
     if n_episodes < 1:
         raise ValueError("n_episodes must be >= 1")
     seeds = [config.seed + i for i in range(n_episodes)]
+    replace(config, seed=seeds[-1])  # raises unless the last seed is valid
     min_separations = np.zeros(n_episodes)
     breached = np.zeros(n_episodes, dtype=bool)
     sq_est = 0.0
@@ -397,19 +461,20 @@ def run_monte_carlo(
     mode_hits = 0
     n_steps = 0
     traces: list[EpisodeTrace] | None = [] if keep_traces else None
-    for i, seed in enumerate(seeds):
-        trace = run_episode(replace(config, seed=seed))
-        min_separations[i] = trace.separation.min()
-        breached[i] = trace.separation.min() < config.r_safe
-        pos_err = trace.est[:, [0, 2]] - trace.truth[:, [0, 2]]
-        meas_err = trace.z - trace.truth[:, [0, 2]]
-        sq_est += float(np.sum(pos_err**2))
-        sq_meas += float(np.sum(meas_err**2))
-        n_err += pos_err.size
-        mode_hits += int(np.sum(trace.est_mode == trace.true_mode))
-        n_steps += trace.est_mode.size
+    for start in range(0, n_episodes, CHUNK_EPISODES):
+        chunk = _run_lockstep(config, seeds[start : start + CHUNK_EPISODES])
+        for i, trace in enumerate(chunk, start):
+            min_separations[i] = trace.separation.min()
+            breached[i] = trace.separation.min() < config.r_safe
+            pos_err = trace.est[:, [0, 2]] - trace.truth[:, [0, 2]]
+            meas_err = trace.z - trace.truth[:, [0, 2]]
+            sq_est += float(np.sum(pos_err**2))
+            sq_meas += float(np.sum(meas_err**2))
+            n_err += pos_err.size
+            mode_hits += int(np.sum(trace.est_mode == trace.true_mode))
+            n_steps += trace.est_mode.size
         if traces is not None:
-            traces.append(trace)
+            traces.extend(chunk)
     return MonteCarloResult(
         config=config,
         seeds=seeds,

@@ -34,6 +34,16 @@ def test_run_reports_bad_option_on_stderr(tmp_path, capsys):
     assert not any(tmp_path.iterdir())
 
 
+def test_monte_carlo_reports_non_finite_dt(tmp_path, capsys):
+    rc = cli_main(["monte-carlo", "--dt", "nan", "--out-dir", str(tmp_path)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert "dt must be finite" in captured.err
+    assert "Traceback" not in captured.err
+    assert not any(tmp_path.iterdir())
+
+
 def test_run_with_config_file(tmp_path, capsys):
     cfg = tmp_path / "short.cfg"
     cfg.write_text("steps = 10\nseed = 2\n")

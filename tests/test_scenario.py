@@ -5,8 +5,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from immcda import dynamics
+from immcda.checks import trace_differences
 from immcda.scenario import (
     ScenarioConfig,
     init_scenario,
@@ -68,6 +71,34 @@ def test_config_defaults():
 def test_config_rejects_bad_values(kw):
     with pytest.raises(ValueError):
         ScenarioConfig(**kw)
+
+
+def _with_entry(matrix, value):
+    out = np.array(matrix, dtype=float)
+    out[0, 0] = value
+    return out
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "key, make",
+    [
+        ("dt", lambda bad: bad),
+        ("v_cruise", lambda bad: bad),
+        ("r_safe", lambda bad: bad),
+        ("spawn_radius", lambda bad: bad),
+        ("avoid_margin", lambda bad: bad),
+        ("pi", lambda bad: _with_entry(dynamics.TRANSITION_MATRIX, bad)),
+        ("process_cov", lambda bad: _with_entry(dynamics.PROCESS_NOISE_COV, bad)),
+        ("process_cov", lambda bad: np.full((5, 5), bad)),
+        ("meas_cov", lambda bad: _with_entry(dynamics.MEASUREMENT_NOISE_COV, bad)),
+    ],
+)
+def test_config_rejects_non_finite_values(key, make, bad):
+    """NaN or inf must be refused by name, not slip through the ordering
+    checks (a NaN margin would silently disable avoidance)."""
+    with pytest.raises(ValueError, match=f"{key} must be finite"):
+        ScenarioConfig(**{key: make(bad)})
 
 
 # --- initial conditions ---
@@ -272,8 +303,61 @@ def test_monte_carlo_seeds_and_aggregates():
     )
 
 
+def test_monte_carlo_rejects_seeds_past_64_bits():
+    config = ScenarioConfig(seed=2**64 - 2, steps=12)
+    assert [t.config.seed for t in run_monte_carlo(config, 2, keep_traces=True).traces] == [
+        2**64 - 2,
+        2**64 - 1,
+    ]
+    with pytest.raises(ValueError, match="64-bit"):
+        run_monte_carlo(config, 3)
+
+
 def test_monte_carlo_rejects_empty_batch():
     with pytest.raises(ValueError):
         run_monte_carlo(ScenarioConfig(), 0)
     result = run_monte_carlo(ScenarioConfig(), 2)
     assert result.traces is None
+
+
+# --- config fuzz ---
+
+
+@st.composite
+def _accepted_configs(draw):
+    dt = draw(st.floats(0.05, 3.0))
+    # shortest episode in which a cruise-speed spawn reaches the zone
+    reach = dynamics.SPAWN_RADIUS - dynamics.SAFETY_RADIUS
+    min_steps = math.ceil(reach / (dynamics.CRUISE_SPEED * dt)) + 1
+    kw = {
+        "dt": dt,
+        "steps": draw(st.integers(min_steps, min_steps + 80)),
+        "meas_cov": draw(
+            st.sampled_from(
+                [dynamics.MEASUREMENT_NOISE_COV, np.zeros((2, 2)), 1e8 * np.eye(2)]
+            )
+        ),
+        "process_cov": draw(st.sampled_from([dynamics.PROCESS_NOISE_COV, np.zeros((5, 5))])),
+        "pi": draw(st.sampled_from([dynamics.TRANSITION_MATRIX, np.eye(3)])),
+        "mode_threshold": draw(st.none() | st.floats(0.0, 1.0)),
+        "lookahead_max": draw(st.integers(1, 6)),
+        "avoid_margin": draw(st.floats(0.0, 2000.0)),
+        "cda_enabled": draw(st.booleans()),
+        "seed": draw(st.integers(0, 2**32)),
+    }
+    try:
+        return ScenarioConfig(**kw)
+    except ValueError:
+        reject()
+
+
+@given(config=_accepted_configs())
+@settings(max_examples=20, deadline=None)
+def test_accepted_configs_run_finite_and_batch_equals_single(config):
+    """Every config ScenarioConfig accepts runs to finite traces, and each
+    trace of a lockstep batch equals the episode run on its own."""
+    result = run_monte_carlo(config, 3, keep_traces=True)
+    for trace in result.traces:
+        for name in ("truth", "z", "est", "mode_probs", "separation"):
+            assert np.all(np.isfinite(getattr(trace, name))), name
+        assert trace_differences(trace, run_episode(trace.config)) == []
