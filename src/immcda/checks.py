@@ -234,26 +234,27 @@ def _check_batched_matches_single() -> CheckResult:
 def _check_roundtrip() -> CheckResult:
     config = ScenarioConfig(seed=3, steps=10)
     result = run_monte_carlo(config, 2, keep_traces=True)
+    trace = result.traces[0]
     with tempfile.TemporaryDirectory() as tmp:
         csv_path = os.path.join(tmp, "episode_3.csv")
-        traceio.write_episode_csv(result.traces[0], csv_path)
+        traceio.write_episode_csv(trace, csv_path)
         back = traceio.read_episode_csv(csv_path)
-        trace = result.traces[0]
-        worst = max(
-            float(np.abs(back["truth_x1"] - trace.truth[:, 0]).max()),
-            float(np.abs(back["est_x2"] - trace.est[:, 2]).max()),
-            float(np.abs(back["separation"] - trace.separation).max()),
-        )
         json_path = os.path.join(tmp, "summary.json")
         manifest = traceio.make_manifest(config, result.seeds, [csv_path])
         traceio.write_summary_json(result, manifest, json_path)
         payload = traceio.read_summary_json(json_path)
-        worst = max(
-            worst,
-            abs(payload["breach_fraction"] - result.breach_fraction),
-            abs(payload["min_separation"]["mean"] - result.min_separation_mean),
-        )
-    return CheckResult("trace_roundtrip", worst <= 1e-9, f"max dev {worst:.3g}")
+    # repr-written floats read back bit for bit, the NaN advisories included
+    differ = [
+        name
+        for name, col in traceio.trace_columns(trace).items()
+        if back[name].dtype != col.dtype or back[name].tobytes() != col.tobytes()
+    ]
+    if (
+        payload["breach_fraction"] != result.breach_fraction
+        or payload["min_separation"]["mean"] != result.min_separation_mean
+    ):
+        differ.append("summary.json")
+    return CheckResult("trace_roundtrip", not differ, f"read-back differs in {differ}")
 
 
 _ALL_CHECKS: tuple[Callable[[], CheckResult], ...] = (

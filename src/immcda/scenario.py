@@ -83,8 +83,11 @@ class ScenarioConfig:
     mode_threshold: float | None = None
 
     def __post_init__(self) -> None:
-        for key in ("dt", "v_cruise", "r_safe", "spawn_radius", "avoid_margin", "pi"):
-            _check_finite(getattr(self, key), key)
+        # stored as float so an integer given here still yields float times
+        # and a float in the manifest
+        for key in ("dt", "v_cruise", "r_safe", "spawn_radius", "avoid_margin"):
+            setattr(self, key, float(_check_finite(getattr(self, key), key)))
+        _check_finite(self.pi, "pi")
         if self.dt <= 0.0:
             raise ValueError("dt must be positive")
         if self.steps < 1:
@@ -114,8 +117,10 @@ class ScenarioConfig:
         if not 0 <= int(self.seed) < 2**64:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
         self.seed = int(self.seed)
-        if self.mode_threshold is not None and not 0.0 <= self.mode_threshold <= 1.0:
-            raise ValueError("mode_threshold must lie in [0, 1]")
+        if self.mode_threshold is not None:
+            self.mode_threshold = float(self.mode_threshold)
+            if not 0.0 <= self.mode_threshold <= 1.0:
+                raise ValueError("mode_threshold must lie in [0, 1]")
         self.pi = dynamics.validate_transition_matrix(self.pi)
         self.process_cov = _check_covariance(self.process_cov, (5, 5), "process_cov")
         self.meas_cov = _check_covariance(self.meas_cov, (2, 2), "meas_cov")

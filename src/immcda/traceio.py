@@ -123,8 +123,24 @@ def make_manifest(
     )
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def trace_columns(trace: EpisodeTrace) -> dict[str, np.ndarray]:
+    """The trace laid out as the CSV's columns, in file order.
+
+    This is what read_episode_csv returns for a written trace, bit for bit.
+    """
+    columns = (
+        np.arange(trace.config.steps), trace.times, *trace.truth.T, trace.true_mode,
+        *trace.z.T, *trace.est.T, *trace.mode_probs.T, trace.est_mode,
+        trace.advisory_theta, trace.trigger_j, trace.separation,
+    )
+    return dict(zip(CSV_COLUMNS, columns, strict=True))
+
+
+_CSV_HEADER = ",".join(CSV_COLUMNS) + "\n"
+# %r gives the shortest decimal that reads back to the same float; the
+# advisory fields arrive preformatted because they are empty without one
+_CSV_ROW = "%d,%r,%r,%r,%r,%r,%r,%d,%r,%r,%r,%r,%r,%r,%r,%r,%r,%r,%d,%s,%s,%r\n"
+_INT_COLUMNS = frozenset({"k", "true_mode", "est_mode", "trigger_j"})
 
 
 def write_episode_csv(trace: EpisodeTrace, path: str | os.PathLike) -> None:
@@ -133,44 +149,23 @@ def write_episode_csv(trace: EpisodeTrace, path: str | os.PathLike) -> None:
     advisory_theta and trigger_j are empty fields on steps without an
     advisory.
     """
+    cols = {name: col.tolist() for name, col in trace_columns(trace).items()}
+    trigger = cols["trigger_j"]
+    cols["advisory_theta"] = [
+        repr(theta) if j > 0 else "" for theta, j in zip(cols["advisory_theta"], trigger)
+    ]
+    cols["trigger_j"] = [j if j > 0 else "" for j in trigger]
+    body = "".join(map(_CSV_ROW.__mod__, zip(*cols.values())))
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        for k in range(trace.config.steps):
-            has_advisory = trace.trigger_j[k] > 0
-            writer.writerow(
-                [
-                    k,
-                    _fmt(k * trace.config.dt),
-                    _fmt(trace.truth[k, 0]),
-                    _fmt(trace.truth[k, 1]),
-                    _fmt(trace.truth[k, 2]),
-                    _fmt(trace.truth[k, 3]),
-                    _fmt(trace.truth[k, 4]),
-                    int(trace.true_mode[k]),
-                    _fmt(trace.z[k, 0]),
-                    _fmt(trace.z[k, 1]),
-                    _fmt(trace.est[k, 0]),
-                    _fmt(trace.est[k, 1]),
-                    _fmt(trace.est[k, 2]),
-                    _fmt(trace.est[k, 3]),
-                    _fmt(trace.est[k, 4]),
-                    _fmt(trace.mode_probs[k, 0]),
-                    _fmt(trace.mode_probs[k, 1]),
-                    _fmt(trace.mode_probs[k, 2]),
-                    int(trace.est_mode[k]),
-                    _fmt(trace.advisory_theta[k]) if has_advisory else "",
-                    int(trace.trigger_j[k]) if has_advisory else "",
-                    _fmt(trace.separation[k]),
-                ]
-            )
+        fh.write(_CSV_HEADER + body)
 
 
 def read_episode_csv(path: str | os.PathLike) -> dict[str, np.ndarray]:
     """Reads a trace CSV back into arrays keyed by column name.
 
     Empty advisory fields come back as NaN (advisory_theta) and 0
-    (trigger_j), matching the in-memory trace encoding.
+    (trigger_j), matching the in-memory trace encoding. A row without
+    exactly one field per column raises ValueError naming its line.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -178,18 +173,18 @@ def read_episode_csv(path: str | os.PathLike) -> dict[str, np.ndarray]:
         if header != CSV_COLUMNS:
             raise ValueError(f"unexpected CSV header {header}")
         rows = list(reader)
+    for lineno, row in enumerate(rows, start=2):
+        if len(row) != len(CSV_COLUMNS):
+            raise ValueError(
+                f"line {lineno}: expected {len(CSV_COLUMNS)} fields, got {len(row)}"
+            )
+    columns = zip(*rows) if rows else [()] * len(CSV_COLUMNS)
     out: dict[str, np.ndarray] = {}
-    int_cols = {"k", "true_mode", "est_mode", "trigger_j"}
-    for i, name in enumerate(CSV_COLUMNS):
-        cells = [row[i] for row in rows]
-        if name in int_cols:
-            out[name] = np.array(
-                [int(c) if c != "" else 0 for c in cells], dtype=int
-            )
+    for name, cells in zip(CSV_COLUMNS, columns):
+        if name in _INT_COLUMNS:
+            out[name] = np.array([int(c) if c else 0 for c in cells], dtype=int)
         else:
-            out[name] = np.array(
-                [float(c) if c != "" else math.nan for c in cells]
-            )
+            out[name] = np.array([float(c) if c else math.nan for c in cells])
     return out
 
 
@@ -211,8 +206,7 @@ def write_summary_json(
         "mode_accuracy": result.mode_accuracy,
     }
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def read_summary_json(path: str | os.PathLike) -> dict:

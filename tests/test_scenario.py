@@ -47,6 +47,15 @@ def test_config_defaults():
     assert np.array_equal(config.pi, dynamics.TRANSITION_MATRIX)
 
 
+def test_config_stores_integer_scalars_as_floats():
+    config = ScenarioConfig(
+        dt=1, v_cruise=286, r_safe=3000, spawn_radius=4500, avoid_margin=250,
+        mode_threshold=1,
+    )
+    for key in ("dt", "v_cruise", "r_safe", "spawn_radius", "avoid_margin", "mode_threshold"):
+        assert type(getattr(config, key)) is float, key
+
+
 @pytest.mark.parametrize(
     "kw",
     [
