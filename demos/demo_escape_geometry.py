@@ -19,7 +19,7 @@ def _miss_distance(b: np.ndarray, c: np.ndarray) -> float:
 
 def _show(label: str, b: np.ndarray, v: np.ndarray, r_safe: float) -> None:
     c = b + v
-    adv = escape_angle(b, c, r_safe)
+    adv = escape_angle(b, c, r_safe, 1)
     state = np.array([b[0], v[0], b[1], v[1], 0.0])
     after = deflect_track(state, adv.theta)
     c2 = b + np.array([after[1], after[3]])

@@ -14,16 +14,10 @@ import types as _types
 
 from .avoidance import (
     Advisory,
-    ConflictPrediction,
     apply_avoidance,
-    deflect_banks,
     deflect_track,
     detect_conflict,
-    detect_conflicts,
     escape_angle,
-    escape_angles,
-    predict_range,
-    rotate_frame,
 )
 from .dynamics import (
     CRUISE_SPEED,
@@ -41,25 +35,20 @@ from .dynamics import (
     mode_matrix,
     mode_rates,
     sample_next_mode,
-    sample_next_modes,
     step_truth,
     transition_edges,
     validate_transition_matrix,
 )
 from .imm import (
     DegenerateMeasurementError,
-    GaussianBelief,
-    ImmBatchOutput,
-    ImmBelief,
     ImmModel,
     ImmStepOutput,
+    check_covariance,
     fuse_estimates,
     fused_means,
     gaussian_likelihood,
     imm_step,
-    imm_step_batch,
     initial_banks,
-    initial_belief,
     kf_predict,
     kf_update,
     mix_initial_conditions,

@@ -8,9 +8,8 @@ track tangent to the protected circle; applying the advisory leaves the
 relative position continuous and rotates the relative track direction by
 -theta about the current position.
 
-Detection, escape geometry and deflection run on stacks of tracks
-(detect_conflicts, escape_angles, deflect_track, deflect_banks); the
-single-track functions run the same code on a stack of one.
+Every function takes stacks of tracks or filter banks along leading axes;
+a single track is a stack of one.
 """
 
 from __future__ import annotations
@@ -20,42 +19,29 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .imm import ImmBelief
-
 MAX_BANK_ANGLE = math.pi / 4  # advisory clamp, rad
 DEFAULT_LOOKAHEAD = 3
 
-_POS = np.array([0, 2])
 _VEL = np.array([1, 3])
 
 
 @dataclass(frozen=True)
-class ConflictPrediction:
-    """Straight-line range prediction at one lookahead horizon."""
-
-    horizon_j: int
-    predicted_point: np.ndarray
-    predicted_range: float
-    unsafe: bool
-
-
-@dataclass(frozen=True)
 class Advisory:
-    """Escape advisory issued against one unsafe prediction.
+    """Escape advisories issued against unsafe predictions, one per track.
 
     theta is the clamped reference turn; theta_unclamped the raw tangent
     solution; beta the half-angle subtended by the protected circle; gamma
     the signed angle from the predicted direction to the origin direction.
     interior marks the no-tangent case with the track already inside the
-    circle. From escape_angles every field is an array over the tracks.
+    circle. Every field is an array over the tracks.
     """
 
-    theta: float
-    theta_unclamped: float
-    trigger_j: int
-    beta: float
-    gamma: float
-    interior: bool = False
+    theta: np.ndarray
+    theta_unclamped: np.ndarray
+    trigger_j: np.ndarray
+    beta: np.ndarray
+    gamma: np.ndarray
+    interior: np.ndarray
 
 
 def _rotations(theta) -> np.ndarray:
@@ -67,28 +53,7 @@ def _rotations(theta) -> np.ndarray:
     return r
 
 
-def _horizon_points(position, step_delta, horizons) -> tuple[np.ndarray, np.ndarray]:
-    # points (..., H, 2) and their ranges (..., H), one per horizon
-    points = position[..., None, :] + horizons[:, None] * step_delta[..., None, :]
-    return points, np.hypot(points[..., 0], points[..., 1])
-
-
-def predict_range(
-    position: np.ndarray, step_delta: np.ndarray, j: int, r_safe: float
-) -> ConflictPrediction:
-    """Range prediction j steps ahead along a fixed per-step displacement."""
-    if j < 1:
-        raise ValueError("horizon j must be >= 1")
-    points, ranges = _horizon_points(
-        np.asarray(position, dtype=float),
-        np.asarray(step_delta, dtype=float),
-        np.array([float(j)]),
-    )
-    rng = float(ranges[0])
-    return ConflictPrediction(j, points[0], rng, rng < r_safe)
-
-
-def detect_conflicts(
+def detect_conflict(
     est_positions: np.ndarray,
     est_velocities: np.ndarray,
     dt: float,
@@ -109,35 +74,15 @@ def detect_conflicts(
     if max_horizon < 1:
         raise ValueError("max_horizon must be >= 1")
     horizons = np.arange(1.0, max_horizon + 1.0)
-    points, ranges = _horizon_points(est_positions, est_velocities * np.asarray(dt), horizons)
+    step_delta = est_velocities * np.asarray(dt)
+    points = est_positions[..., None, :] + horizons[:, None] * step_delta[..., None, :]
+    ranges = np.hypot(points[..., 0], points[..., 1])
     unsafe = ranges < r_safe
     horizon_j = np.where(unsafe.any(axis=-1), unsafe.argmax(axis=-1) + 1, 0)
     return horizon_j, points, ranges
 
 
-def detect_conflict(
-    est_position: np.ndarray,
-    est_velocity: np.ndarray,
-    dt: float,
-    r_safe: float,
-    max_horizon: int = DEFAULT_LOOKAHEAD,
-) -> ConflictPrediction | None:
-    """First unsafe straight-line prediction within the lookahead, or None:
-    detect_conflicts for a single track."""
-    j, points, ranges = detect_conflicts(
-        np.asarray(est_position, dtype=float)[None],
-        np.asarray(est_velocity, dtype=float)[None],
-        dt,
-        r_safe,
-        max_horizon,
-    )
-    j = int(j[0])
-    if not j:
-        return None
-    return ConflictPrediction(j, points[0, j - 1], float(ranges[0, j - 1]), True)
-
-
-def escape_angles(
+def escape_angle(
     positions: np.ndarray,
     predicted_points: np.ndarray,
     r_safe: float,
@@ -146,7 +91,8 @@ def escape_angles(
     """Advisories that turn each predicted track tangent to the circle.
 
     Tracks are rows of positions and predicted_points (N, 2); every field
-    of the returned Advisory is an array over them.
+    of the returned Advisory is an array over them, trigger_j (N,) (the
+    horizon that raised each advisory) passed through unchanged.
 
     From the track position b, the protected circle subtends the
     half-angle beta = asin(r_safe / |b|) around the direction to the
@@ -176,45 +122,6 @@ def escape_angles(
     return Advisory(theta, theta_unclamped, trigger_j, beta, gamma, interior)
 
 
-def escape_angle(
-    position: np.ndarray,
-    predicted_point: np.ndarray,
-    r_safe: float,
-    trigger_j: int = 1,
-) -> Advisory:
-    """Advisory that turns the predicted track tangent to the circle:
-    escape_angles for a single track."""
-    adv = escape_angles(
-        np.asarray(position, dtype=float)[None],
-        np.asarray(predicted_point, dtype=float)[None],
-        r_safe,
-        np.array([trigger_j]),
-    )
-    return Advisory(
-        theta=float(adv.theta[0]),
-        theta_unclamped=float(adv.theta_unclamped[0]),
-        trigger_j=trigger_j,
-        beta=float(adv.beta[0]),
-        gamma=float(adv.gamma[0]),
-        interior=bool(adv.interior[0]),
-    )
-
-
-def rotate_frame(state: np.ndarray, theta: float) -> np.ndarray:
-    """Re-expresses a state in axes turned by theta.
-
-    The reference turning by theta appears as the world rotating by
-    -theta in its body frame: the position and velocity pairs both rotate,
-    the turn-rate component is untouched, and all norms are preserved.
-    """
-    state = np.asarray(state, dtype=float)
-    r = _rotations(-theta)
-    out = state.copy()
-    out[_POS] = r @ state[_POS]
-    out[_VEL] = r @ state[_VEL]
-    return out
-
-
 def deflect_track(state: np.ndarray, theta) -> np.ndarray:
     """Applies an advisory turn to a relative state, or to a stack of
     states (..., 5) with one angle each.
@@ -229,7 +136,7 @@ def deflect_track(state: np.ndarray, theta) -> np.ndarray:
     return out
 
 
-def deflect_banks(
+def apply_avoidance(
     means: np.ndarray, covs: np.ndarray, theta: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Deflects N filter banks, means (N, 3, 5) and covs (N, 3, 5, 5), each
@@ -246,12 +153,3 @@ def deflect_banks(
     t_t = t.swapaxes(-1, -2)
     covs = t[..., None, :, :] @ covs @ t_t[..., None, :, :]
     return means @ t_t, 0.5 * (covs + covs.swapaxes(-1, -2))
-
-
-def apply_avoidance(belief: ImmBelief, advisory: Advisory) -> ImmBelief:
-    """Deflects the whole bank by the advisory angle: deflect_banks on a
-    stack of one. Mode probabilities are untouched."""
-    means, covs = deflect_banks(
-        belief.means[None], belief.covs[None], np.array([advisory.theta])
-    )
-    return ImmBelief._from_arrays(means[0], covs[0], belief.mode_probs.copy())

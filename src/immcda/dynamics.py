@@ -168,7 +168,7 @@ def step_truth(state: np.ndarray, mode, dt: float, noise: np.ndarray | None = No
 
 
 def transition_edges(pi: np.ndarray) -> np.ndarray:
-    """Cumulative rows of pi for sample_next_modes, indexed by the current
+    """Cumulative rows of pi for sample_next_mode, indexed by the current
     mode's value (row 0 unused). The top edge is +inf, so a row that falls
     short of 1 by rounding leaves RIGHT_TURN."""
     edges = np.full((N_MODES + 1, N_MODES), np.inf)
@@ -176,27 +176,11 @@ def transition_edges(pi: np.ndarray) -> np.ndarray:
     return edges
 
 
-def sample_next_modes(modes: np.ndarray, edges: np.ndarray, u: np.ndarray) -> np.ndarray:
+def sample_next_mode(modes: np.ndarray, edges: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Successor of each mode in an integer array, drawn with its uniform
-    variate in u: the first mode whose cumulative edge exceeds u."""
+    variate in u, in [0, 1): the first mode whose cumulative edge in
+    transition_edges(pi) exceeds u."""
     return (u[..., None] < edges[modes]).argmax(axis=-1) + 1
-
-
-def sample_next_mode(mode: Mode, pi: np.ndarray, u: float) -> Mode:
-    """Draws the successor mode from pi's row for the current mode.
-
-    Args:
-        mode: Current mode.
-        pi: Row-stochastic transition matrix, already validated
-            (ScenarioConfig validates its own).
-        u: Uniform variate in [0, 1).
-
-    Returns:
-        The mode whose cumulative-probability interval contains u.
-    """
-    if not 0.0 <= u < 1.0:
-        raise ValueError(f"u must lie in [0, 1), got {u}")
-    return Mode(int(sample_next_modes(np.asarray(int(mode)), transition_edges(pi), np.asarray(u))))
 
 
 def measure(state: np.ndarray, noise: np.ndarray) -> np.ndarray:

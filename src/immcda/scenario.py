@@ -39,13 +39,15 @@ def _check_covariance(cov: np.ndarray, shape: tuple[int, int], key: str) -> np.n
     cov = _check_finite(cov, key)
     if cov.shape != shape:
         raise ValueError(f"{key} must have shape {shape}, got {cov.shape}")
-    scale = max(float(np.abs(cov).max()), 1.0)
-    if np.abs(cov - cov.T).max() > 1e-9 * scale:
-        raise ValueError(f"{key} must be symmetric")
-    min_eig = float(np.linalg.eigvalsh(cov).min())
-    if min_eig < -1e-9 * max(float(np.trace(cov)), 1.0):
-        raise ValueError(f"{key} must be positive semidefinite")
+    imm.check_covariance(cov, key)
     return cov
+
+
+def _check_integer(value, key: str) -> int:
+    # bool is an int subclass, but True steps or seeds are a caller's slip
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass
@@ -88,6 +90,12 @@ class ScenarioConfig:
         for key in ("dt", "v_cruise", "r_safe", "spawn_radius", "avoid_margin"):
             setattr(self, key, float(_check_finite(getattr(self, key), key)))
         _check_finite(self.pi, "pi")
+        self.steps = _check_integer(self.steps, "steps")
+        self.lookahead_max = _check_integer(self.lookahead_max, "lookahead_max")
+        self.seed = _check_integer(self.seed, "seed")
+        if not isinstance(self.cda_enabled, (bool, np.bool_)):
+            raise ValueError(f"cda_enabled must be a boolean, got {self.cda_enabled!r}")
+        self.cda_enabled = bool(self.cda_enabled)
         if self.dt <= 0.0:
             raise ValueError("dt must be positive")
         if self.steps < 1:
@@ -112,11 +120,8 @@ class ScenarioConfig:
             )
         if self.avoid_margin < 0.0:
             raise ValueError("avoid_margin must be nonnegative")
-        if not isinstance(self.seed, (int, np.integer)) or isinstance(self.seed, bool):
-            raise ValueError("seed must be an integer")
-        if not 0 <= int(self.seed) < 2**64:
+        if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
-        self.seed = int(self.seed)
         if self.mode_threshold is not None:
             self.mode_threshold = float(self.mode_threshold)
             if not 0.0 <= self.mode_threshold <= 1.0:
@@ -365,7 +370,7 @@ def _run_lockstep(config: ScenarioConfig, seeds: list[int]) -> list[EpisodeTrace
         if k > 0:
             n_live = np.count_nonzero(modes_live)
             if n_live:
-                sampled = dynamics.sample_next_modes(mode, edges, u[:, k - 1])
+                sampled = dynamics.sample_next_mode(mode, edges, u[:, k - 1])
                 mode = sampled if n_live == n_eps else np.where(modes_live, sampled, mode)
             if np.count_nonzero(advised):
                 # holds a straight course while a maneuver is under way;
@@ -373,7 +378,7 @@ def _run_lockstep(config: ScenarioConfig, seeds: list[int]) -> list[EpisodeTrace
                 mode = np.where(advised, _STRAIGHT, mode)
             state = dynamics.step_truth(state, mode, config.dt, w[:, k - 1])
             z = dynamics.measure(state, v[:, k])
-            out = imm.imm_step_batch(means, covs, mu, z, model)
+            out = imm.imm_step(means, covs, mu, z, model)
             means, covs, mu = out.means, out.covs, out.mode_probs
             if out.flags:
                 events.extend((rows, k, name) for name, rows in out.flags)
@@ -382,18 +387,18 @@ def _run_lockstep(config: ScenarioConfig, seeds: list[int]) -> list[EpisodeTrace
         if config.cda_enabled:
             # detect and aim against a slightly widened radius so that the
             # commanded tangent pass clears r_safe despite estimation error
-            j, points, _ = avoidance.detect_conflicts(
+            j, points, _ = avoidance.detect_conflict(
                 fused[:, 0:3:2], fused[:, 1:4:2], config.dt, r_avoid, config.lookahead_max
             )
             advised = j > 0
             if np.count_nonzero(advised):
                 f = np.flatnonzero(advised)
-                adv = avoidance.escape_angles(fused[f, 0:3:2], points[f, j[f] - 1], r_avoid, j[f])
+                adv = avoidance.escape_angle(fused[f, 0:3:2], points[f, j[f] - 1], r_avoid, j[f])
                 tracks = avoidance.deflect_track(
                     np.stack((state[f], fused[f]), axis=1), adv.theta[:, None]
                 )
                 state[f], fused[f] = tracks[:, 0], tracks[:, 1]
-                means[f], covs[f] = avoidance.deflect_banks(means[f], covs[f], adv.theta)
+                means[f], covs[f] = avoidance.apply_avoidance(means[f], covs[f], adv.theta)
                 advisory_theta[f, k] = adv.theta
                 trigger_j[f, k] = adv.trigger_j
                 if np.count_nonzero(adv.interior):

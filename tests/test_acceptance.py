@@ -2,26 +2,18 @@
 
 Each test prints a single PASS/FAIL line (bypassing capture) so a plain
 pytest run shows the scorecard, then asserts. The expensive episode
-batches are computed once per module and shared.
+batches are computed once per module and shared; the invariants are the
+functions of immcda.checks, run here at full size.
 """
 
-import math
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from immcda import dynamics, imm
-from immcda.avoidance import MAX_BANK_ANGLE, escape_angle
-from immcda.scenario import ScenarioConfig, run_episode, run_monte_carlo
-from immcda.traceio import (
-    make_manifest,
-    read_episode_csv,
-    read_summary_json,
-    write_episode_csv,
-    write_summary_json,
-)
+from immcda import checks
+from immcda.avoidance import MAX_BANK_ANGLE
+from immcda.scenario import ScenarioConfig, run_monte_carlo
 
 N_BATCH = 500
 N_PAIRED = 200
@@ -102,31 +94,7 @@ def test_mode_tracking_accuracy(off200, capsys):
 def test_filter_bank_degenerates_to_kalman_filter(capsys):
     """Identity mode transitions and a point-mass prior must reproduce a
     plain Kalman filter bit for bit over a long run."""
-    rng = np.random.default_rng(2024)
-    model = imm.ImmModel(pi=np.eye(3))
-    z0 = np.array([400.0, -250.0])
-    belief = imm.ImmBelief(
-        imm.initial_belief(z0).per_mode, np.array([1.0, 0.0, 0.0])
-    )
-    kf = imm.GaussianBelief(
-        np.array([z0[0], 0.0, z0[1], 0.0, 0.0]), imm.INITIAL_COV.copy()
-    )
-    truth = np.array([400.0, -80.0, -250.0, 60.0, 0.0])
-    worst = 0.0
-    for _ in range(100):
-        truth = dynamics.step_truth(truth, dynamics.Mode.STRAIGHT, 1.0)
-        z = dynamics.measure(truth, 50.0 * rng.standard_normal(2))
-        out = imm.imm_step(belief, z, model)
-        belief = out.belief
-        a = dynamics.mode_matrix(dynamics.Mode.STRAIGHT, float(kf.mean[4]), 1.0)
-        kf, _, _ = imm.kf_update(
-            imm.kf_predict(kf, a, model.process_cov), z, model.meas_matrix, model.meas_cov
-        )
-        worst = max(
-            worst,
-            float(np.max(np.abs(out.fused.mean - kf.mean))),
-            float(np.max(np.abs(out.fused.cov - kf.cov))),
-        )
+    worst = checks.kalman_reduction(100, 2024)
     ok = worst <= 1e-12
     _report(
         capsys,
@@ -138,26 +106,8 @@ def test_filter_bank_degenerates_to_kalman_filter(capsys):
 
 
 def test_escape_angle_tangency(capsys):
-    rng = np.random.default_rng(99)
-    worst_rel = 0.0
-    clamped = True
-    for _ in range(10_000):
-        r_safe = rng.uniform(500.0, 5000.0)
-        bo = r_safe * rng.uniform(1.01, 10.0)
-        bearing = rng.uniform(0.0, 2.0 * math.pi)
-        b = bo * np.array([math.cos(bearing), math.sin(bearing)])
-        step = rng.uniform(10.0, 2000.0)
-        cang = rng.uniform(0.0, 2.0 * math.pi)
-        c = b + step * np.array([math.cos(cang), math.sin(cang)])
-        adv = escape_angle(b, c, r_safe)
-        clamped &= abs(adv.theta) <= MAX_BANK_ANGLE + 1e-15
-        t = adv.theta_unclamped
-        rot = np.array(
-            [[math.cos(-t), -math.sin(-t)], [math.sin(-t), math.cos(-t)]]
-        )
-        d = rot @ (c - b)
-        dist = abs(b[0] * d[1] - b[1] * d[0]) / math.hypot(d[0], d[1])
-        worst_rel = max(worst_rel, abs(dist - r_safe) / r_safe)
+    worst_rel, worst_theta = checks.escape_tangency(10_000, 99)
+    clamped = worst_theta <= MAX_BANK_ANGLE + 1e-15
     ok = worst_rel <= 1e-6 and clamped
     _report(
         capsys,
@@ -189,50 +139,15 @@ def test_avoidance_reduces_breaches(batch500, off200, capsys):
 
 def test_dynamics_invariants(capsys):
     # turn matrix velocity block orthogonality over a rate/step sweep
-    worst_orth = 0.0
-    rng = np.random.default_rng(7)
-    rates = np.concatenate(
-        [np.linspace(-2.0, 2.0, 41), rng.uniform(-2.0, 2.0, 200)]
-    )
-    steps = np.concatenate([np.array([0.1, 0.5, 1.0, 2.0]), rng.uniform(0.05, 4.0, 50)])
-    for omega in rates:
-        for dt in steps[:8]:
-            a = dynamics.coordinated_turn_matrix(float(omega), float(dt))
-            r = a[np.ix_([1, 3], [1, 3])]
-            worst_orth = max(worst_orth, float(np.max(np.abs(r.T @ r - np.eye(2)))))
+    worst_orth = checks.turn_matrix_orthogonality(241, 7)
     # continuity into the straight-flight matrix at vanishing turn rate
-    worst_cont = 0.0
-    for dt in steps:
-        near = dynamics.coordinated_turn_matrix(1e-9, float(dt))
-        exact = dynamics.coordinated_turn_matrix(0.0, float(dt))
-        worst_cont = max(worst_cont, float(np.max(np.abs(near - exact))))
+    worst_cont = checks.turn_matrix_continuity(54, 7)
     # Markov sampling frequencies against each transition row
     n_draws = 100_000
-    worst_freq = 0.0
-    for mode in dynamics.Mode:
-        counts = np.zeros(3)
-        for _ in range(n_draws):
-            nxt = dynamics.sample_next_mode(mode, dynamics.TRANSITION_MATRIX, rng.random())
-            counts[int(nxt) - 1] += 1
-        row = dynamics.TRANSITION_MATRIX[int(mode) - 1]
-        worst_freq = max(worst_freq, float(np.max(np.abs(counts / n_draws - row))))
+    worst_freq = checks.markov_frequencies(n_draws, 7)
     # fuzzed estimator cycles keep covariances PSD and mode probs on the simplex
-    model = imm.ImmModel()
-    belief = imm.initial_belief(np.zeros(2))
     n_cycles = 10_000
-    worst_simplex = 0.0
-    for i in range(n_cycles):
-        if i % 100 == 0:
-            belief = imm.initial_belief(rng.uniform(-5000.0, 5000.0, 2))
-        z = rng.uniform(-6000.0, 6000.0, 2)
-        out = imm.imm_step(belief, z, model)
-        belief = out.belief
-        mu = belief.mode_probs
-        assert np.all(mu >= 0.0)
-        worst_simplex = max(worst_simplex, abs(float(mu.sum()) - 1.0))
-        out.fused.check_valid()
-        for b in belief.per_mode:
-            b.check_valid()
+    worst_simplex = checks.fuzzed_imm_steps(n_cycles, 7)
     ok = (
         worst_orth <= 1e-10
         and worst_cont <= 1e-8
@@ -253,50 +168,17 @@ def test_dynamics_invariants(capsys):
     assert worst_simplex <= 1e-12
 
 
-def test_determinism_and_round_trip(tmp_path, capsys):
-    config = ScenarioConfig(seed=11)
-    a = run_episode(config)
-    b = run_episode(replace(config))
-    identical = (
-        np.array_equal(a.truth, b.truth)
-        and np.array_equal(a.z, b.z)
-        and np.array_equal(a.est, b.est)
-        and np.array_equal(a.mode_probs, b.mode_probs)
-        and np.array_equal(a.advisory_theta, b.advisory_theta, equal_nan=True)
-        and np.array_equal(a.separation, b.separation)
-    )
-    csv_path = tmp_path / "trace.csv"
-    write_episode_csv(a, csv_path)
-    data = read_episode_csv(csv_path)
-    csv_ok = (
-        np.allclose(data["truth_x1"], a.truth[:, 0], rtol=1e-9)
-        and np.allclose(data["est_x1"], a.est[:, 0], rtol=1e-9)
-        and np.allclose(data["separation"], a.separation, rtol=1e-9)
-        and np.allclose(data["mu2"], a.mode_probs[:, 1], rtol=1e-9)
-        and np.array_equal(data["true_mode"], a.true_mode)
-        and np.array_equal(
-            data["advisory_theta"], a.advisory_theta, equal_nan=True
-        )
-    )
-    result = run_monte_carlo(config, 2)
-    json_path = tmp_path / "summary.json"
-    write_summary_json(
-        result, make_manifest(config, result.seeds, [str(json_path)]), json_path
-    )
-    payload = read_summary_json(json_path)
-    json_ok = (
-        abs(payload["min_separation"]["mean"] - result.min_separation_mean)
-        <= 1e-9 * max(1.0, abs(result.min_separation_mean))
-        and abs(payload["rmse_position_est"] - result.rmse_position_est)
-        <= 1e-9 * result.rmse_position_est
-        and payload["n_episodes"] == 2
-    )
+def test_determinism_and_round_trip(capsys):
+    identical = not checks.episode_determinism(11, 60)
+    csv_differ, json_dev = checks.trace_roundtrip(11, 2, 60)
+    csv_ok = not csv_differ
+    json_ok = json_dev <= 1e-9
     ok = identical and csv_ok and json_ok
     _report(
         capsys,
         ok,
         "determinism and round trip",
-        f"repeat run identical: {identical}; CSV round trip within 1e-9: {csv_ok}; "
+        f"repeat run identical: {identical}; CSV round trip bit-exact: {csv_ok}; "
         f"JSON round trip within 1e-9: {json_ok}",
     )
     assert identical

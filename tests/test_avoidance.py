@@ -1,4 +1,8 @@
-"""Tests for conflict prediction and tangent escape geometry."""
+"""Tests for conflict prediction and tangent escape geometry.
+
+Every function broadcasts over leading axes of tracks; most tests pass a
+single track with none.
+"""
 
 import math
 
@@ -15,8 +19,6 @@ from immcda.avoidance import (
     deflect_track,
     detect_conflict,
     escape_angle,
-    predict_range,
-    rotate_frame,
 )
 
 R_SAFE = 3000.0
@@ -32,79 +34,55 @@ def _ray_distance_to_origin(b, direction):
     return abs(b[0] * direction[1] - b[1] * direction[0]) / math.hypot(*direction)
 
 
-# --- range prediction ---
-
-
-def test_predict_range_known_point():
-    pred = predict_range(np.array([3000.0, 4000.0]), np.array([100.0, 0.0]), 1, R_SAFE)
-    assert pred.horizon_j == 1
-    assert np.array_equal(pred.predicted_point, np.array([3100.0, 4000.0]))
-    assert pred.predicted_range == pytest.approx(5060.632371551998, rel=1e-12)
-    assert not pred.unsafe
-
-
-def test_predict_range_scales_with_horizon():
-    pos = np.array([4000.0, 0.0])
-    delta = np.array([-500.0, 0.0])
-    assert predict_range(pos, delta, 2, R_SAFE).predicted_range == pytest.approx(3000.0)
-    assert predict_range(pos, delta, 3, R_SAFE).predicted_range == pytest.approx(2500.0)
-    assert predict_range(pos, delta, 3, R_SAFE).unsafe
-
-
-def test_predict_range_boundary_is_safe():
-    # unsafe means strictly inside the circle
-    pred = predict_range(np.array([3000.0, 0.0]), np.zeros(2), 1, R_SAFE)
-    assert pred.predicted_range == 3000.0
-    assert not pred.unsafe
-
-
-def test_predict_range_rejects_bad_horizon():
-    with pytest.raises(ValueError):
-        predict_range(np.zeros(2), np.zeros(2), 0, R_SAFE)
-    with pytest.raises(ValueError):
-        predict_range(np.zeros(2), np.zeros(2), -1, R_SAFE)
+# --- conflict detection ---
 
 
 def test_detect_conflict_returns_first_unsafe_horizon():
-    pred = detect_conflict(np.array([4000.0, 0.0]), np.array([-500.0, 0.0]), 1.0, R_SAFE)
-    # j=1 gives 3500, j=2 exactly 3000 (still safe), j=3 gives 2500
-    assert pred is not None
-    assert pred.horizon_j == 3
-    assert np.allclose(pred.predicted_point, [2500.0, 0.0])
-    assert pred.unsafe
+    j, points, ranges = detect_conflict(np.array([4000.0, 0.0]), np.array([-500.0, 0.0]), 1.0, R_SAFE)
+    # j=1 gives 3500, j=2 exactly 3000 (still safe: unsafe means strictly
+    # inside the circle), j=3 gives 2500
+    assert j == 3
+    assert np.allclose(points[j - 1], [2500.0, 0.0])
+    assert ranges[1] == pytest.approx(3000.0)
+    assert ranges[2] == pytest.approx(2500.0)
 
 
 def test_detect_conflict_none_when_clear():
-    assert (
-        detect_conflict(np.array([10000.0, 10000.0]), np.array([-500.0, 0.0]), 1.0, R_SAFE)
-        is None
-    )
+    j, points, ranges = detect_conflict(np.array([3000.0, 4000.0]), np.array([100.0, 0.0]), 1.0, R_SAFE)
+    assert j == 0
+    assert np.array_equal(points[0], np.array([3100.0, 4000.0]))
+    assert ranges[0] == pytest.approx(5060.632371551998, rel=1e-12)
+    j, _, _ = detect_conflict(np.array([10000.0, 10000.0]), np.array([-500.0, 0.0]), 1.0, R_SAFE)
+    assert j == 0
 
 
 def test_detect_conflict_horizon_limit():
     pos, vel = np.array([4000.0, 0.0]), np.array([-500.0, 0.0])
-    assert detect_conflict(pos, vel, 1.0, R_SAFE, max_horizon=2) is None
-    assert detect_conflict(pos, vel, 1.0, R_SAFE, max_horizon=3) is not None
+    assert detect_conflict(pos, vel, 1.0, R_SAFE, max_horizon=2)[0] == 0
+    assert detect_conflict(pos, vel, 1.0, R_SAFE, max_horizon=3)[0] == 3
     assert DEFAULT_LOOKAHEAD == 3
+    for bad in (0, -1):
+        with pytest.raises(ValueError):
+            detect_conflict(pos, vel, 1.0, R_SAFE, max_horizon=bad)
 
 
 def test_detect_conflict_inside_circle_fires_immediately():
-    pred = detect_conflict(np.array([2000.0, 0.0]), np.zeros(2), 1.0, R_SAFE)
-    assert pred is not None
-    assert pred.horizon_j == 1
+    j, _, _ = detect_conflict(np.array([2000.0, 0.0]), np.zeros(2), 1.0, R_SAFE)
+    assert j == 1
 
 
 def test_detect_conflict_scales_velocity_by_dt():
-    pos, vel = np.array([4000.0, 0.0]), np.array([-250.0, 0.0])
-    assert detect_conflict(pos, vel, 1.0, R_SAFE) is None
-    assert detect_conflict(pos, vel, 2.0, R_SAFE) is not None
+    # two tracks at once, one row each
+    pos, vel = np.array([[4000.0, 0.0]] * 2), np.array([[-250.0, 0.0]] * 2)
+    assert detect_conflict(pos, vel, 1.0, R_SAFE)[0].tolist() == [0, 0]
+    assert detect_conflict(pos, vel, 2.0, R_SAFE)[0].tolist() == [3, 3]
 
 
 # --- escape geometry ---
 
 
 def test_escape_head_on_clamps_to_max_bank():
-    adv = escape_angle(np.array([4000.0, 0.0]), np.array([3000.0, 0.0]), R_SAFE)
+    adv = escape_angle(np.array([4000.0, 0.0]), np.array([3000.0, 0.0]), R_SAFE, 1)
     assert adv.gamma == 0.0
     assert adv.beta == pytest.approx(0.848062078981481, rel=1e-12)  # asin(3/4)
     assert adv.theta_unclamped == pytest.approx(0.848062078981481, rel=1e-12)
@@ -114,7 +92,7 @@ def test_escape_head_on_clamps_to_max_bank():
 
 def test_escape_perpendicular_track():
     # track crossing at right angles ahead of the circle
-    adv = escape_angle(np.array([6000.0, 0.0]), np.array([6000.0, 1000.0]), R_SAFE)
+    adv = escape_angle(np.array([6000.0, 0.0]), np.array([6000.0, 1000.0]), R_SAFE, 1)
     assert adv.gamma == pytest.approx(1.5707963267948966, rel=1e-12)  # +pi/2
     assert adv.beta == pytest.approx(0.5235987755982988, rel=1e-12)  # asin(1/2)
     assert adv.theta_unclamped == pytest.approx(-1.0471975511965976, rel=1e-12)
@@ -122,8 +100,8 @@ def test_escape_perpendicular_track():
 
 
 def test_escape_mirror_symmetry():
-    up = escape_angle(np.array([6000.0, 0.0]), np.array([6000.0, 1000.0]), R_SAFE)
-    down = escape_angle(np.array([6000.0, 0.0]), np.array([6000.0, -1000.0]), R_SAFE)
+    up = escape_angle(np.array([6000.0, 0.0]), np.array([6000.0, 1000.0]), R_SAFE, 1)
+    down = escape_angle(np.array([6000.0, 0.0]), np.array([6000.0, -1000.0]), R_SAFE, 1)
     assert down.gamma == pytest.approx(-up.gamma, rel=1e-12)
     assert down.theta_unclamped == pytest.approx(-up.theta_unclamped, rel=1e-12)
     assert down.theta == pytest.approx(-up.theta, rel=1e-12)
@@ -133,36 +111,38 @@ def test_escape_already_tangent_needs_no_turn():
     # predicted direction rotated off the origin line by exactly beta
     b = np.array([4000.0, 0.0])
     c = np.array([3338.5621722338524, 750.0])
-    adv = escape_angle(b, c, R_SAFE)
+    adv = escape_angle(b, c, R_SAFE, 1)
     assert adv.theta_unclamped == pytest.approx(0.0, abs=1e-12)
     assert adv.theta == 0.0
     assert _ray_distance_to_origin(b, c - b) == pytest.approx(R_SAFE, rel=1e-12)
 
 
 def test_escape_interior_uses_full_clamp():
-    adv = escape_angle(np.array([2000.0, 0.0]), np.array([2000.0, 100.0]), R_SAFE)
+    adv = escape_angle(np.array([2000.0, 0.0]), np.array([2000.0, 100.0]), R_SAFE, 1)
     assert adv.interior
     assert adv.beta == pytest.approx(math.pi / 2)
     assert adv.theta == MAX_BANK_ANGLE
-    down = escape_angle(np.array([2000.0, 0.0]), np.array([2000.0, -100.0]), R_SAFE)
+    down = escape_angle(np.array([2000.0, 0.0]), np.array([2000.0, -100.0]), R_SAFE, 1)
     assert down.theta == -MAX_BANK_ANGLE
     # dead-ahead fallback turns positive
-    ahead = escape_angle(np.array([2000.0, 0.0]), np.array([1000.0, 0.0]), R_SAFE)
+    ahead = escape_angle(np.array([2000.0, 0.0]), np.array([1000.0, 0.0]), R_SAFE, 1)
     assert ahead.theta == MAX_BANK_ANGLE
 
 
 def test_escape_interior_turn_opens_range():
     # at (2000, 0) tracking +x2, a +pi/4 deflection points the track outward
     state = np.array([2000.0, 0.0, 0.0, 100.0, 0.0])
-    adv = escape_angle(state[[0, 2]], state[[0, 2]] + state[[1, 3]], R_SAFE)
+    adv = escape_angle(state[[0, 2]], state[[0, 2]] + state[[1, 3]], R_SAFE, 1)
     out = deflect_track(state, adv.theta)
     range_rate = np.dot(out[[0, 2]], out[[1, 3]]) / np.hypot(out[0], out[2])
     assert range_rate > 0.0
 
 
 def test_escape_trigger_horizon_is_recorded():
-    adv = escape_angle(np.array([4000.0, 0.0]), np.array([3000.0, 0.0]), R_SAFE, trigger_j=3)
-    assert adv.trigger_j == 3
+    b = np.array([[4000.0, 0.0], [6000.0, 0.0]])
+    c = np.array([[3000.0, 0.0], [6000.0, 1000.0]])
+    adv = escape_angle(b, c, R_SAFE, np.array([3, 1]))
+    assert adv.trigger_j.tolist() == [3, 1]
 
 
 @given(
@@ -175,7 +155,7 @@ def test_escape_trigger_horizon_is_recorded():
 def test_escape_unclamped_angle_achieves_tangency(bo, bearing, clen, cang):
     b = bo * np.array([math.cos(bearing), math.sin(bearing)])
     c = b + clen * np.array([math.cos(cang), math.sin(cang)])
-    adv = escape_angle(b, c, R_SAFE)
+    adv = escape_angle(b, c, R_SAFE, 1)
     assert not adv.interior
     assert abs(adv.theta) <= MAX_BANK_ANGLE + 1e-15
     # deflecting by the raw angle makes the ray tangent to the circle
@@ -187,31 +167,11 @@ def test_escape_unclamped_angle_achieves_tangency(bo, bearing, clen, cang):
     other = -math.copysign(adv.beta, adv.gamma) - adv.gamma if adv.gamma != 0.0 else -adv.beta
     assert abs(adv.theta_unclamped) <= abs(other) + 1e-12
     # deflecting the prediction by the raw angle leaves nothing left to turn
-    again = escape_angle(b, b + deflected, R_SAFE)
+    again = escape_angle(b, b + deflected, R_SAFE, 1)
     assert again.theta_unclamped == pytest.approx(0.0, abs=1e-7)
 
 
-# --- frame operations ---
-
-
-def test_rotate_frame_quarter_turn():
-    state = np.array([1.0, 0.0, 0.0, 1.0, 0.3])
-    out = rotate_frame(state, math.pi / 2)
-    assert np.allclose(out[[0, 2]], [0.0, -1.0], atol=1e-12)
-    assert np.allclose(out[[1, 3]], [1.0, 0.0], atol=1e-12)
-    assert out[4] == 0.3
-
-
-def test_rotate_frame_is_an_isometry():
-    rng = np.random.default_rng(2)
-    for _ in range(20):
-        state = rng.uniform(-1000, 1000, 5)
-        theta = rng.uniform(-math.pi, math.pi)
-        out = rotate_frame(state, theta)
-        assert np.hypot(out[0], out[2]) == pytest.approx(np.hypot(state[0], state[2]), rel=1e-12)
-        assert np.hypot(out[1], out[3]) == pytest.approx(np.hypot(state[1], state[3]), rel=1e-12)
-        back = rotate_frame(out, -theta)
-        assert np.allclose(back, state, atol=1e-9)
+# --- deflection ---
 
 
 def test_deflect_track_moves_velocity_only():
@@ -231,48 +191,43 @@ def test_deflect_track_moves_velocity_only():
 def test_deflect_track_improves_predicted_range_head_on():
     """Clamped head-on advisory pushes the short-horizon prediction clear."""
     state = np.array([4000.0, -500.0, 0.0, 0.0, 0.0])
-    pred = detect_conflict(state[[0, 2]], state[[1, 3]], 1.0, R_SAFE)
-    assert pred is not None and pred.horizon_j == 3
-    adv = escape_angle(state[[0, 2]], pred.predicted_point, R_SAFE, trigger_j=pred.horizon_j)
+    j, points, ranges = detect_conflict(state[[0, 2]], state[[1, 3]], 1.0, R_SAFE)
+    assert j == 3
+    adv = escape_angle(state[[0, 2]], points[j - 1], R_SAFE, j)
     out = deflect_track(state, adv.theta)
-    after = predict_range(out[[0, 2]], out[[1, 3]], pred.horizon_j, R_SAFE)
-    assert after.predicted_range > pred.predicted_range
-    assert after.predicted_range > R_SAFE
+    _, _, after = detect_conflict(out[[0, 2]], out[[1, 3]], 1.0, R_SAFE)
+    assert after[j - 1] > ranges[j - 1]
+    assert after[j - 1] > R_SAFE
 
 
 def test_apply_avoidance_zero_angle_is_identity():
-    belief = imm.initial_belief(np.array([100.0, 200.0]))
-    adv = escape_angle(np.array([6000.0, 0.0]), np.array([5000.0, 0.0]), R_SAFE)
-    out = apply_avoidance(belief, type(adv)(0.0, 0.0, 1, adv.beta, adv.gamma))
-    for a, b in zip(out.per_mode, belief.per_mode):
-        assert np.allclose(a.mean, b.mean, atol=1e-12)
-        assert np.allclose(a.cov, b.cov, atol=1e-9)
+    means, covs, _ = imm.initial_banks(np.array([[100.0, 200.0]]))
+    out_means, out_covs = apply_avoidance(means, covs, np.array([0.0]))
+    assert np.allclose(out_means, means, atol=1e-12)
+    assert np.allclose(out_covs, covs, atol=1e-9)
 
 
 def test_apply_avoidance_preserves_structure():
     rng = np.random.default_rng(9)
-    per_mode = []
+    means, covs = [], []
     for _ in range(3):
         a = rng.standard_normal((5, 5))
-        per_mode.append(
-            imm.GaussianBelief(rng.uniform(-1000, 1000, 5), a @ a.T + np.eye(5))
-        )
-    mu = np.array([0.2, 0.5, 0.3])
-    belief = imm.ImmBelief(per_mode, mu)
-    adv = escape_angle(np.array([4000.0, 0.0]), np.array([3000.0, 0.0]), R_SAFE)
-    out = apply_avoidance(belief, adv)
-    assert np.array_equal(out.mode_probs, mu)
-    assert out.mode_probs is not belief.mode_probs
-    r = _rot(-adv.theta)
-    for before, after in zip(belief.per_mode, out.per_mode):
+        means.append(rng.uniform(-1000, 1000, 5))
+        covs.append(a @ a.T + np.eye(5))
+    means, covs = np.array(means)[None], np.array(covs)[None]
+    adv = escape_angle(np.array([[4000.0, 0.0]]), np.array([[3000.0, 0.0]]), R_SAFE, np.array([1]))
+    out_means, out_covs = apply_avoidance(means, covs, adv.theta)
+    assert out_means.shape == means.shape and out_covs.shape == covs.shape
+    r = _rot(-adv.theta[0])
+    for before, after, cov_before, cov_after in zip(means[0], out_means[0], covs[0], out_covs[0]):
         # position untouched, velocity rotated, turn rate untouched
-        assert np.allclose(after.mean[[0, 2]], before.mean[[0, 2]], atol=1e-12)
-        assert np.allclose(after.mean[[1, 3]], r @ before.mean[[1, 3]], atol=1e-9)
-        assert after.mean[4] == before.mean[4]
+        assert np.allclose(after[[0, 2]], before[[0, 2]], atol=1e-12)
+        assert np.allclose(after[[1, 3]], r @ before[[1, 3]], atol=1e-9)
+        assert after[4] == before[4]
         # orthogonal conjugation keeps the spectrum
         assert np.allclose(
-            np.linalg.eigvalsh(after.cov), np.linalg.eigvalsh(before.cov), atol=1e-8
+            np.linalg.eigvalsh(cov_after), np.linalg.eigvalsh(cov_before), atol=1e-8
         )
         vel = np.ix_([1, 3], [1, 3])
-        assert np.allclose(after.cov[vel], r @ before.cov[vel] @ r.T, atol=1e-9)
-        after.check_valid()
+        assert np.allclose(cov_after[vel], r @ cov_before[vel] @ r.T, atol=1e-9)
+    imm.check_covariance(out_covs)

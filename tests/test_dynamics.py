@@ -19,6 +19,7 @@ from immcda.dynamics import (
     mode_matrix,
     sample_next_mode,
     step_truth,
+    transition_edges,
     validate_transition_matrix,
 )
 
@@ -174,24 +175,14 @@ def test_validate_transition_matrix_rejects_bad_rows():
 
 
 def test_sample_next_mode_thresholds():
-    pi = TRANSITION_MATRIX
-    # from Straight the cumulative row is (0.8, 0.9, 1.0)
-    assert sample_next_mode(Mode.STRAIGHT, pi, 0.5) == Mode.STRAIGHT
-    assert sample_next_mode(Mode.STRAIGHT, pi, 0.79) == Mode.STRAIGHT
-    assert sample_next_mode(Mode.STRAIGHT, pi, 0.85) == Mode.LEFT_TURN
-    assert sample_next_mode(Mode.STRAIGHT, pi, 0.95) == Mode.RIGHT_TURN
-    # from LeftTurn the cumulative row is (0.19, 0.99, 1.0)
-    assert sample_next_mode(Mode.LEFT_TURN, pi, 0.18) == Mode.STRAIGHT
-    assert sample_next_mode(Mode.LEFT_TURN, pi, 0.5) == Mode.LEFT_TURN
-    assert sample_next_mode(Mode.LEFT_TURN, pi, 0.995) == Mode.RIGHT_TURN
-
-
-def test_sample_next_mode_rejects_bad_draw():
-    pi = TRANSITION_MATRIX
-    with pytest.raises(ValueError):
-        sample_next_mode(Mode.STRAIGHT, pi, 1.0)
-    with pytest.raises(ValueError):
-        sample_next_mode(Mode.STRAIGHT, pi, -0.01)
+    edges = transition_edges(TRANSITION_MATRIX)
+    # from Straight the cumulative row is (0.8, 0.9, 1.0), from LeftTurn
+    # (0.19, 0.99, 1.0); one draw per row of the stack
+    modes = np.array([Mode.STRAIGHT] * 4 + [Mode.LEFT_TURN] * 3)
+    u = np.array([0.5, 0.79, 0.85, 0.95, 0.18, 0.5, 0.995])
+    expected = [Mode.STRAIGHT, Mode.STRAIGHT, Mode.LEFT_TURN, Mode.RIGHT_TURN,
+                Mode.STRAIGHT, Mode.LEFT_TURN, Mode.RIGHT_TURN]
+    assert sample_next_mode(modes, edges, u).tolist() == expected
 
 
 def test_sample_next_mode_frequencies():
@@ -199,9 +190,8 @@ def test_sample_next_mode_frequencies():
     pi = TRANSITION_MATRIX
     n = 20_000
     for mode in Mode:
-        counts = np.zeros(3)
-        for _ in range(n):
-            counts[sample_next_mode(mode, pi, rng.random()) - 1] += 1
+        nxt = sample_next_mode(np.full(n, int(mode)), transition_edges(pi), rng.random(n))
+        counts = np.bincount(nxt - 1, minlength=3)
         assert np.max(np.abs(counts / n - pi[mode - 1])) < 0.02
 
 

@@ -17,13 +17,12 @@ from immcda import dynamics, imm
 from immcda.dynamics import TRANSITION_MATRIX, Mode
 from immcda.imm import (
     DegenerateMeasurementError,
-    GaussianBelief,
-    ImmBelief,
     ImmModel,
+    check_covariance,
     fuse_estimates,
     gaussian_likelihood,
     imm_step,
-    initial_belief,
+    initial_banks,
     kf_predict,
     kf_update,
     mix_initial_conditions,
@@ -34,11 +33,19 @@ from immcda.imm import (
 UNIFORM = np.full(3, 1.0 / 3.0)
 
 
-def _naive_step(belief, z, model):
+def _step(bank, z, model):
+    """imm_step on a stack of one bank: the posterior bank, likelihoods
+    and flags, and the fused estimate."""
+    means, covs, mu = bank
+    out = imm_step(means[None], covs[None], mu[None], z[None], model)
+    post = (out.means[0], out.covs[0], out.mode_probs[0])
+    fused_mean, fused_cov = fuse_estimates(*post)
+    return post, out.likelihoods[0], out.flags, fused_mean, fused_cov
+
+
+def _naive_step(bank, z, model):
     """Textbook cycle: mix, predict, update, reweight, fuse."""
-    mu = belief.mode_probs
-    means = [b.mean for b in belief.per_mode]
-    covs = [b.cov for b in belief.per_mode]
+    means, covs, mu = bank
     base = float(sum(mu[i] * means[i][4] for i in range(3)))
     mats = [dynamics.mode_matrix(m, base, model.dt) for m in model.modes]
     h, r_cov = model.meas_matrix, model.meas_cov
@@ -70,8 +77,8 @@ def _naive_step(belief, z, model):
     return post_means, post_covs, lam, mu_new, fused_mean, fused_cov
 
 
-def _random_belief(rng):
-    per_mode = []
+def _random_bank(rng):
+    means, covs = [], []
     for _ in range(3):
         mean = np.array(
             [
@@ -84,16 +91,18 @@ def _random_belief(rng):
         )
         a = rng.standard_normal((5, 5))
         cov = a @ a.T + np.diag([100.0, 10.0, 100.0, 10.0, 0.01])
-        per_mode.append(GaussianBelief(mean, cov))
+        means.append(mean)
+        covs.append(cov)
     mu = rng.uniform(0.05, 1.0, size=3)
-    return ImmBelief(per_mode, mu / mu.sum())
+    return np.array(means), np.array(covs), mu / mu.sum()
 
 
 # --- mixing ---
 
 
 def test_mixing_uniform_prior_frozen_values():
-    mu_ij, c_bar = mixing_probabilities(TRANSITION_MATRIX, UNIFORM)
+    mu_ij, c_bar, degenerate = mixing_probabilities(TRANSITION_MATRIX, UNIFORM)
+    assert degenerate is None
     assert c_bar[0] == pytest.approx(0.3933333333333333, rel=1e-12)
     assert c_bar[1] == pytest.approx(0.30333333333333334, rel=1e-12)
     assert c_bar[2] == pytest.approx(0.30333333333333334, rel=1e-12)
@@ -108,7 +117,8 @@ def test_mixing_uniform_prior_frozen_values():
 
 
 def test_mixing_unreachable_mode_column_goes_uniform():
-    mu_ij, c_bar = mixing_probabilities(np.eye(3), np.array([1.0, 0.0, 0.0]))
+    mu_ij, c_bar, degenerate = mixing_probabilities(np.eye(3), np.array([1.0, 0.0, 0.0]))
+    assert degenerate
     assert np.array_equal(c_bar, np.array([1.0, 0.0, 0.0]))
     assert np.array_equal(mu_ij[:, 0], np.array([1.0, 0.0, 0.0]))
     assert np.allclose(mu_ij[:, 1], 1.0 / 3.0)
@@ -117,26 +127,24 @@ def test_mixing_unreachable_mode_column_goes_uniform():
 
 def test_mix_initial_conditions_point_mass_passthrough():
     rng = np.random.default_rng(3)
-    belief = _random_belief(rng)
+    means, covs, _ = _random_bank(rng)
     mu_ij = np.eye(3)  # column j draws entirely from mode j
-    mixed = mix_initial_conditions(belief.per_mode, mu_ij)
+    mixed_means, mixed_covs = mix_initial_conditions(means, covs, mu_ij)
     for j in range(3):
-        assert np.allclose(mixed[j].mean, belief.per_mode[j].mean, atol=1e-12)
-        assert np.allclose(mixed[j].cov, belief.per_mode[j].cov, atol=1e-9)
+        assert np.allclose(mixed_means[j], means[j], atol=1e-12)
+        assert np.allclose(mixed_covs[j], covs[j], atol=1e-9)
 
 
 def test_mix_initial_conditions_spread_of_means():
-    cov = np.eye(5)
-    b1 = GaussianBelief(np.zeros(5), cov)
-    m2 = np.zeros(5)
-    m2[0] = 2.0
-    b2 = GaussianBelief(m2, cov)
+    covs = np.stack([np.eye(5)] * 3)
+    means = np.zeros((3, 5))
+    means[1, 0] = 2.0
     mu_ij = np.array([[0.5, 1.0, 1.0], [0.5, 0.0, 0.0], [0.0, 0.0, 0.0]])
-    mixed = mix_initial_conditions([b1, b2, b1], mu_ij)
-    assert mixed[0].mean[0] == pytest.approx(1.0)
+    mixed_means, mixed_covs = mix_initial_conditions(means, covs, mu_ij)
+    assert mixed_means[0, 0] == pytest.approx(1.0)
     # mixture variance picks up the between-means spread: 1 + 0.5 + 0.5
-    assert mixed[0].cov[0, 0] == pytest.approx(2.0)
-    assert mixed[1].cov[0, 0] == pytest.approx(1.0)
+    assert mixed_covs[0, 0, 0] == pytest.approx(2.0)
+    assert mixed_covs[1, 0, 0] == pytest.approx(1.0)
 
 
 # --- Kalman steps ---
@@ -144,42 +152,41 @@ def test_mix_initial_conditions_spread_of_means():
 
 def test_kf_predict_constant_velocity_covariance_growth():
     a = dynamics.coordinated_turn_matrix(0.0, 1.0)
-    belief = GaussianBelief(np.array([0.0, 1.0, 0.0, 0.0, 0.0]), np.eye(5))
-    out = kf_predict(belief, a, np.zeros((5, 5)))
-    assert np.array_equal(out.mean, np.array([1.0, 1.0, 0.0, 0.0, 0.0]))
-    assert out.cov[0, 0] == pytest.approx(2.0, rel=1e-12)
-    assert out.cov[0, 1] == pytest.approx(1.0, rel=1e-12)
-    assert out.cov[1, 1] == pytest.approx(1.0, rel=1e-12)
+    mean, cov = kf_predict(np.array([[0.0, 1.0, 0.0, 0.0, 0.0]]), np.eye(5)[None], a, np.zeros((5, 5)))
+    assert np.array_equal(mean[0], np.array([1.0, 1.0, 0.0, 0.0, 0.0]))
+    assert cov[0, 0, 0] == pytest.approx(2.0, rel=1e-12)
+    assert cov[0, 0, 1] == pytest.approx(1.0, rel=1e-12)
+    assert cov[0, 1, 1] == pytest.approx(1.0, rel=1e-12)
 
 
 def test_kf_update_equal_variance_fusion():
     # prior position variance 100 against measurement variance 100:
     # the posterior sits halfway with variance 50 on each axis
     cov = np.diag([100.0, 1.0, 100.0, 1.0, 1.0])
-    belief = GaussianBelief(np.zeros(5), cov)
-    post, residual, s = kf_update(
-        belief,
+    mean, post_cov, residual, s, _ = kf_update(
+        np.zeros((1, 5)),
+        cov[None],
         np.array([10.0, -6.0]),
         dynamics.MEASUREMENT_MATRIX,
         np.diag([100.0, 100.0]),
     )
-    assert np.array_equal(residual, np.array([10.0, -6.0]))
-    assert np.allclose(s, np.diag([200.0, 200.0]))
-    assert post.mean[0] == pytest.approx(5.0, rel=1e-12)
-    assert post.mean[2] == pytest.approx(-3.0, rel=1e-12)
-    assert post.cov[0, 0] == pytest.approx(50.0, rel=1e-12)
-    assert post.cov[2, 2] == pytest.approx(50.0, rel=1e-12)
+    assert np.array_equal(residual[0], np.array([10.0, -6.0]))
+    assert np.allclose(s[0], np.diag([200.0, 200.0]))
+    assert mean[0, 0] == pytest.approx(5.0, rel=1e-12)
+    assert mean[0, 2] == pytest.approx(-3.0, rel=1e-12)
+    assert post_cov[0, 0, 0] == pytest.approx(50.0, rel=1e-12)
+    assert post_cov[0, 2, 2] == pytest.approx(50.0, rel=1e-12)
     # untouched states keep their prior variance
-    assert post.cov[1, 1] == pytest.approx(1.0, rel=1e-12)
-    assert post.cov[4, 4] == pytest.approx(1.0, rel=1e-12)
+    assert post_cov[0, 1, 1] == pytest.approx(1.0, rel=1e-12)
+    assert post_cov[0, 4, 4] == pytest.approx(1.0, rel=1e-12)
 
 
 def test_kf_update_rejects_near_singular_innovation():
     cov = np.diag([1e13, 1.0, 1e-2, 1.0, 1.0])
-    belief = GaussianBelief(np.zeros(5), cov)
     with pytest.raises(DegenerateMeasurementError):
         kf_update(
-            belief,
+            np.zeros((1, 5)),
+            cov[None],
             np.zeros(2),
             dynamics.MEASUREMENT_MATRIX,
             np.diag([1e-2, 1e-2]),
@@ -191,34 +198,32 @@ def test_kf_update_rejects_near_singular_innovation():
 def test_kf_update_keeps_covariance_valid(seed):
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((5, 5))
-    belief = GaussianBelief(
-        rng.uniform(-1000, 1000, 5), a @ a.T + np.eye(5) * 10.0
-    )
-    post, _, _ = kf_update(
-        belief,
+    mean = rng.uniform(-1000, 1000, 5)
+    cov = a @ a.T + np.eye(5) * 10.0
+    _, post_cov, _, _, _ = kf_update(
+        mean[None],
+        cov[None],
         rng.uniform(-1000, 1000, 2),
         dynamics.MEASUREMENT_MATRIX,
         dynamics.MEASUREMENT_NOISE_COV,
     )
-    post.check_valid()
+    check_covariance(post_cov)
     # conditioning on data cannot inflate the position marginals
-    assert post.cov[0, 0] <= belief.cov[0, 0] + 1e-9
-    assert post.cov[2, 2] <= belief.cov[2, 2] + 1e-9
+    assert post_cov[0, 0, 0] <= cov[0, 0] + 1e-9
+    assert post_cov[0, 2, 2] <= cov[2, 2] + 1e-9
 
 
 # --- likelihood ---
 
 
 def test_gaussian_likelihood_frozen_values():
-    assert gaussian_likelihood(np.zeros(2), np.eye(2)) == pytest.approx(
-        0.15915494309189535, rel=1e-12
-    )
-    assert gaussian_likelihood(np.zeros(2), 4.0 * np.eye(2)) == pytest.approx(
-        0.039788735772973836, rel=1e-12
-    )
-    assert gaussian_likelihood(np.array([2.0, 0.0]), np.eye(2)) == pytest.approx(
-        0.02153927930184863, rel=1e-12
-    )
+    residuals = np.array([[0.0, 0.0], [0.0, 0.0], [2.0, 0.0]])
+    s = np.array([np.eye(2), 4.0 * np.eye(2), np.eye(2)])
+    density, s_inv = gaussian_likelihood(residuals, s)
+    assert density[0] == pytest.approx(0.15915494309189535, rel=1e-12)
+    assert density[1] == pytest.approx(0.039788735772973836, rel=1e-12)
+    assert density[2] == pytest.approx(0.02153927930184863, rel=1e-12)
+    assert np.allclose(s_inv @ s, np.eye(2), atol=1e-15)
 
 
 def test_gaussian_likelihood_matches_scipy():
@@ -228,23 +233,21 @@ def test_gaussian_likelihood_matches_scipy():
         s = a @ a.T + 0.5 * np.eye(2)
         r = rng.uniform(-3, 3, 2)
         expected = multivariate_normal(mean=np.zeros(2), cov=s).pdf(r)
-        assert gaussian_likelihood(r, s) == pytest.approx(expected, rel=1e-10)
+        assert gaussian_likelihood(r[None], s[None])[0][0] == pytest.approx(expected, rel=1e-10)
 
 
 def test_gaussian_likelihood_integrates_to_one():
     s = np.array([[2.0, 0.6], [0.6, 1.0]])
     xs = np.linspace(-8.0, 8.0, 401)
     step = xs[1] - xs[0]
-    total = 0.0
-    for x in xs:
-        for y in xs:
-            total += gaussian_likelihood(np.array([x, y]), s)
+    grid = np.stack(np.meshgrid(xs, xs, indexing="ij"), axis=-1)
+    total = gaussian_likelihood(grid, s)[0].sum()
     assert total * step * step == pytest.approx(1.0, abs=1e-3)
 
 
 def test_gaussian_likelihood_rejects_indefinite_covariance():
     with pytest.raises(DegenerateMeasurementError):
-        gaussian_likelihood(np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]))
+        gaussian_likelihood(np.zeros((1, 2)), np.array([[[1.0, 2.0], [2.0, 1.0]]]))
 
 
 # --- mode probabilities and fusion ---
@@ -252,7 +255,8 @@ def test_gaussian_likelihood_rejects_indefinite_covariance():
 
 def test_update_mode_probabilities_frozen_values():
     c_bar = TRANSITION_MATRIX.T @ UNIFORM
-    mu = update_mode_probabilities(np.array([0.2, 0.1, 0.1]), c_bar)
+    mu, underflow = update_mode_probabilities(np.array([0.2, 0.1, 0.1]), c_bar)
+    assert underflow is None
     assert mu[0] == pytest.approx(0.5645933014354066, rel=1e-12)
     assert mu[1] == pytest.approx(0.21770334928229665, rel=1e-12)
     assert mu[2] == pytest.approx(0.21770334928229665, rel=1e-12)
@@ -261,7 +265,8 @@ def test_update_mode_probabilities_frozen_values():
 
 def test_update_mode_probabilities_underflow_keeps_prior():
     c_bar = np.array([0.4, 0.35, 0.25])
-    mu = update_mode_probabilities(np.zeros(3), c_bar)
+    mu, underflow = update_mode_probabilities(np.zeros(3), c_bar)
+    assert underflow
     assert np.array_equal(mu, c_bar)
     mu[0] = 9.0  # returned vector must be a copy
     assert c_bar[0] == 0.4
@@ -269,52 +274,47 @@ def test_update_mode_probabilities_underflow_keeps_prior():
 
 def test_fuse_estimates_point_mass_and_spread():
     cov = np.eye(5)
-    b0 = GaussianBelief(np.zeros(5), cov)
-    m1 = np.zeros(5)
-    m1[0] = 2.0
-    b1 = GaussianBelief(m1, cov)
-    point = fuse_estimates([b0, b1, b0], np.array([0.0, 1.0, 0.0]))
-    assert np.array_equal(point.mean, m1)
-    assert np.allclose(point.cov, cov)
-    half = fuse_estimates([b0, b1, b0], np.array([0.5, 0.5, 0.0]))
-    assert half.mean[0] == pytest.approx(1.0)
-    assert half.cov[0, 0] == pytest.approx(2.0)  # 1 + between-means spread 1
+    covs = np.stack([cov] * 3)
+    means = np.zeros((3, 5))
+    means[1, 0] = 2.0
+    # two banks at once: a point mass on mode 1, then an even split
+    mu = np.array([[0.0, 1.0, 0.0], [0.5, 0.5, 0.0]])
+    mean, fused_cov = fuse_estimates(np.stack([means] * 2), np.stack([covs] * 2), mu)
+    assert np.array_equal(mean[0], means[1])
+    assert np.allclose(fused_cov[0], cov)
+    assert mean[1, 0] == pytest.approx(1.0)
+    assert fused_cov[1, 0, 0] == pytest.approx(2.0)  # 1 + between-means spread 1
 
 
-# --- belief containers ---
+# --- track initialization and covariance validity ---
 
 
-def test_initial_belief_structure():
-    belief = initial_belief(np.array([120.0, -80.0]))
-    assert np.array_equal(belief.mode_probs, UNIFORM)
-    for b in belief.per_mode:
-        assert np.array_equal(b.mean, np.array([120.0, 0.0, -80.0, 0.0, 0.0]))
-        assert np.array_equal(b.cov, imm.INITIAL_COV)
-    belief.per_mode[0].mean[0] = 999.0  # copies, not shared storage
-    assert belief.per_mode[1].mean[0] == 120.0
-
-
-def test_belief_validation_rejects_bad_inputs():
-    good = GaussianBelief(np.zeros(5), np.eye(5))
-    with pytest.raises(ValueError):
-        GaussianBelief(np.zeros(5), np.eye(4))
-    with pytest.raises(ValueError):
-        ImmBelief([good, good], UNIFORM)
-    with pytest.raises(ValueError):
-        ImmBelief([good, good, good], np.array([0.5, 0.5, 0.5]))
-    with pytest.raises(ValueError):
-        ImmBelief([good, good, good], np.array([1.2, -0.1, -0.1]))
+def test_initial_banks_structure():
+    means, covs, mu = initial_banks(np.array([[120.0, -80.0]]))
+    assert means.shape == (1, 3, 5) and covs.shape == (1, 3, 5, 5)
+    assert np.array_equal(mu, UNIFORM[None])
+    for j in range(3):
+        assert np.array_equal(means[0, j], np.array([120.0, 0.0, -80.0, 0.0, 0.0]))
+        assert np.array_equal(covs[0, j], imm.INITIAL_COV)
+    means[0, 0, 0] = 999.0  # every mode owns its storage
+    covs[0, 0, 0, 0] = 999.0
+    assert means[0, 1, 0] == 120.0
+    assert covs[0, 1, 0, 0] == imm.INITIAL_COV[0, 0] == 100.0**2
 
 
 def test_check_valid_flags_broken_covariances():
     asym = np.eye(5)
     asym[0, 1] = 1.0
-    with pytest.raises(ValueError):
-        GaussianBelief(np.zeros(5), asym).check_valid()
+    with pytest.raises(ValueError, match="symmetric"):
+        check_covariance(asym)
     indefinite = np.diag([1.0, 1.0, 1.0, 1.0, -1.0])
-    with pytest.raises(ValueError):
-        GaussianBelief(np.zeros(5), indefinite).check_valid()
-    GaussianBelief(np.zeros(5), np.eye(5)).check_valid()
+    with pytest.raises(ValueError, match="positive semidefinite"):
+        check_covariance(indefinite)
+    # one broken matrix in a stack is enough
+    with pytest.raises(ValueError, match="positive semidefinite"):
+        check_covariance(np.stack([np.eye(5), indefinite, np.eye(5)]))
+    check_covariance(np.eye(5))
+    check_covariance(np.stack([np.eye(5)] * 3))
 
 
 def test_model_validation():
@@ -331,23 +331,23 @@ def test_imm_step_matches_reference_implementation():
     rng = np.random.default_rng(17)
     model = ImmModel()
     for _ in range(5):
-        belief = _random_belief(rng)
+        bank = _random_bank(rng)
         z = rng.uniform(-4000, 4000, 2)
-        out = imm_step(belief, z, model)
-        means, covs, lam, mu, f_mean, f_cov = _naive_step(belief, z, model)
-        assert np.allclose(out.likelihoods, lam, rtol=1e-9, atol=1e-300)
-        assert np.allclose(out.belief.mode_probs, mu, rtol=1e-9)
+        (post_means, post_covs, post_mu), lik, _, fused_mean, fused_cov = _step(bank, z, model)
+        means, covs, lam, mu, f_mean, f_cov = _naive_step(bank, z, model)
+        assert np.allclose(lik, lam, rtol=1e-9, atol=1e-300)
+        assert np.allclose(post_mu, mu, rtol=1e-9)
         for j in range(3):
-            assert np.allclose(out.belief.per_mode[j].mean, means[j], rtol=1e-9, atol=1e-8)
-            assert np.allclose(out.belief.per_mode[j].cov, covs[j], rtol=1e-7, atol=1e-6)
-        assert np.allclose(out.fused.mean, f_mean, rtol=1e-9, atol=1e-8)
-        assert np.allclose(out.fused.cov, f_cov, rtol=1e-7, atol=1e-6)
+            assert np.allclose(post_means[j], means[j], rtol=1e-9, atol=1e-8)
+            assert np.allclose(post_covs[j], covs[j], rtol=1e-7, atol=1e-6)
+        assert np.allclose(fused_mean, f_mean, rtol=1e-9, atol=1e-8)
+        assert np.allclose(fused_cov, f_cov, rtol=1e-7, atol=1e-6)
 
 
 def test_imm_step_permutation_equivariance():
     """Relabeling the modes relabels the outputs and nothing else."""
     rng = np.random.default_rng(23)
-    belief = _random_belief(rng)
+    means, covs, mu = _random_bank(rng)
     z = rng.uniform(-2000, 2000, 2)
     perm = [2, 0, 1]
     modes = (Mode.STRAIGHT, Mode.LEFT_TURN, Mode.RIGHT_TURN)
@@ -356,54 +356,53 @@ def test_imm_step_permutation_equivariance():
         pi=TRANSITION_MATRIX[np.ix_(perm, perm)],
         modes=tuple(modes[i] for i in perm),
     )
-    belief_p = ImmBelief(
-        [belief.per_mode[i] for i in perm], belief.mode_probs[perm]
+    (post_means, _, post_mu), lik, _, fused_mean, fused_cov = _step((means, covs, mu), z, model)
+    (p_means, _, p_mu), p_lik, _, p_fused_mean, p_fused_cov = _step(
+        (means[perm], covs[perm], mu[perm]), z, model_p
     )
-    out = imm_step(belief, z, model)
-    out_p = imm_step(belief_p, z, model_p)
-    assert np.allclose(out_p.belief.mode_probs, out.belief.mode_probs[perm], rtol=1e-9)
-    assert np.allclose(out_p.likelihoods, out.likelihoods[perm], rtol=1e-9)
+    assert np.allclose(p_mu, post_mu[perm], rtol=1e-9)
+    assert np.allclose(p_lik, lik[perm], rtol=1e-9)
     for j, i in enumerate(perm):
-        assert np.allclose(
-            out_p.belief.per_mode[j].mean, out.belief.per_mode[i].mean, rtol=1e-9
-        )
-    assert np.allclose(out_p.fused.mean, out.fused.mean, rtol=1e-9)
-    assert np.allclose(out_p.fused.cov, out.fused.cov, rtol=1e-7, atol=1e-6)
+        assert np.allclose(p_means[j], post_means[i], rtol=1e-9)
+    assert np.allclose(p_fused_mean, fused_mean, rtol=1e-9)
+    assert np.allclose(p_fused_cov, fused_cov, rtol=1e-7, atol=1e-6)
 
 
 def test_imm_step_identifies_turned_flight():
     """Noiseless left-turn track: the left-turn mode probability takes over."""
     model = ImmModel()
     state = np.array([0.0, 200.0, 0.0, 0.0, 0.0])
-    belief = initial_belief(state[[0, 2]])
+    means, covs, mu = initial_banks(state[[0, 2]][None])
     mu_left = []
     for _ in range(40):
         state = dynamics.step_truth(state, Mode.LEFT_TURN, 1.0)
-        out = imm_step(belief, state[[0, 2]], model)
-        belief = out.belief
-        mu_left.append(belief.mode_probs[1])
+        out = imm_step(means, covs, mu, state[[0, 2]][None], model)
+        means, covs, mu = out.means, out.covs, out.mode_probs
+        mu_left.append(mu[0, 1])
     assert mu_left[-1] > 0.8
     assert all(m > 0.5 for m in mu_left[-10:])
 
 
 def test_imm_step_flags_degenerate_mixing():
     rng = np.random.default_rng(5)
-    belief = _random_belief(rng)
-    belief = ImmBelief(belief.per_mode, np.array([1.0, 0.0, 0.0]))
+    means, covs, _ = _random_bank(rng)
     model = ImmModel(pi=np.eye(3))
-    out = imm_step(belief, belief.per_mode[0].mean[[0, 2]], model)
-    assert "degenerate_mixing" in out.flags
-    assert np.allclose(out.belief.mode_probs, [1.0, 0.0, 0.0], atol=1e-12)
+    (_, _, post_mu), _, flags, _, _ = _step(
+        (means, covs, np.array([1.0, 0.0, 0.0])), means[0, [0, 2]], model
+    )
+    assert "degenerate_mixing" in dict(flags)
+    assert np.array_equal(dict(flags)["degenerate_mixing"], [0])
+    assert np.allclose(post_mu, [1.0, 0.0, 0.0], atol=1e-12)
 
 
 def test_imm_step_flags_likelihood_underflow():
-    belief = initial_belief(np.zeros(2))
+    bank = tuple(a[0] for a in initial_banks(np.zeros((1, 2))))
     model = ImmModel()
-    out = imm_step(belief, np.array([1e9, 1e9]), model)
-    assert "likelihood_underflow" in out.flags
+    (_, _, post_mu), _, flags, _, _ = _step(bank, np.array([1e9, 1e9]), model)
+    assert "likelihood_underflow" in dict(flags)
     # the predicted prior carries through unchanged
     c_bar = TRANSITION_MATRIX.T @ UNIFORM
-    assert np.allclose(out.belief.mode_probs, c_bar, atol=1e-12)
+    assert np.allclose(post_mu, c_bar, atol=1e-12)
 
 
 def test_imm_step_reduces_to_kalman_filter_with_frozen_modes():
@@ -413,40 +412,37 @@ def test_imm_step_reduces_to_kalman_filter_with_frozen_modes():
     rng = np.random.default_rng(29)
     model = ImmModel(pi=np.eye(3))
     z0 = np.zeros(2)
-    belief = ImmBelief(
-        initial_belief(z0).per_mode, np.array([1.0, 0.0, 0.0])
-    )
-    kf = GaussianBelief(
-        np.array([z0[0], 0.0, z0[1], 0.0, 0.0]), imm.INITIAL_COV.copy()
-    )
+    means, covs, _ = initial_banks(z0[None])
+    mu = np.array([[1.0, 0.0, 0.0]])
+    kf_mean = np.array([[[z0[0], 0.0, z0[1], 0.0, 0.0]]])  # one bank of one filter
+    kf_cov = imm.INITIAL_COV.copy()[None, None]
     for _ in range(25):
-        z = rng.uniform(-500.0, 500.0, 2)
-        out = imm_step(belief, z, model)
-        belief = out.belief
-        a = dynamics.mode_matrix(Mode.STRAIGHT, float(kf.mean[4]), model.dt)
-        kf, _, _ = kf_update(
-            kf_predict(kf, a, model.process_cov), z, model.meas_matrix, model.meas_cov
-        )
-        assert np.max(np.abs(out.fused.mean - kf.mean)) <= 1e-12
-        assert np.max(np.abs(out.fused.cov - kf.cov)) <= 1e-12
+        z = rng.uniform(-500.0, 500.0, 2)[None]
+        out = imm_step(means, covs, mu, z, model)
+        means, covs, mu = out.means, out.covs, out.mode_probs
+        fused_mean, fused_cov = fuse_estimates(means, covs, mu)
+        a = dynamics.mode_matrix(Mode.STRAIGHT, float(kf_mean[0, 0, 4]), model.dt)
+        kf_mean, kf_cov = kf_predict(kf_mean, kf_cov, a, model.process_cov)
+        kf_mean, kf_cov, _, _, _ = kf_update(kf_mean, kf_cov, z, model.meas_matrix, model.meas_cov)
+        assert np.max(np.abs(fused_mean - kf_mean[:, 0])) <= 1e-12
+        assert np.max(np.abs(fused_cov - kf_cov[:, 0])) <= 1e-12
 
 
 @given(seed=st.integers(0, 100_000))
 @settings(max_examples=60, deadline=None)
 def test_imm_step_preserves_invariants(seed):
     rng = np.random.default_rng(seed)
-    belief = _random_belief(rng)
+    bank = _random_bank(rng)
     model = ImmModel()
-    out = imm_step(belief, rng.uniform(-6000, 6000, 2), model)
-    mu = out.belief.mode_probs
+    (post_means, post_covs, mu), _, _, fused_mean, fused_cov = _step(
+        bank, rng.uniform(-6000, 6000, 2), model
+    )
     assert np.all(mu >= 0.0)
     assert float(mu.sum()) == pytest.approx(1.0, abs=1e-12)
-    out.fused.check_valid()
-    for b in out.belief.per_mode:
-        b.check_valid()
+    check_covariance(fused_cov)
+    check_covariance(post_covs)
     # the fused mean is a convex combination of the per-mode posteriors
-    stack = np.array([b.mean for b in out.belief.per_mode])
-    lo, hi = stack.min(axis=0), stack.max(axis=0)
+    lo, hi = post_means.min(axis=0), post_means.max(axis=0)
     span = np.maximum(hi - lo, 1.0)
-    assert np.all(out.fused.mean >= lo - 1e-9 * span)
-    assert np.all(out.fused.mean <= hi + 1e-9 * span)
+    assert np.all(fused_mean >= lo - 1e-9 * span)
+    assert np.all(fused_mean <= hi + 1e-9 * span)

@@ -1,5 +1,6 @@
 """Tests of the stacked filter bank: model validation at construction, the
-closed-form 2x2 guard, and agreement of the bank with the per-belief API."""
+closed-form 2x2 guard, and agreement of the bank with its stages applied
+one belief at a time."""
 
 import numpy as np
 import pytest
@@ -8,8 +9,6 @@ from immcda import dynamics
 from immcda.imm import (
     MAX_MEASUREMENT_CONDITION,
     DegenerateMeasurementError,
-    GaussianBelief,
-    ImmBelief,
     ImmModel,
     gaussian_likelihood,
     imm_step,
@@ -39,14 +38,16 @@ def test_model_is_immutable_after_validation():
         model.dt = 2.0
 
 
-def test_transition_matrices_reuse_straight_and_rebuild_turns():
+def test_turn_rates_offset_each_banks_fused_rate():
     model = ImmModel(dt=0.5)
-    mats = model.transition_matrices(0.1)
-    assert mats.shape == (3, 5, 5)
-    for j, mode in enumerate(model.modes):
-        assert np.array_equal(mats[j], dynamics.mode_matrix(mode, 0.1, 0.5))
-    mats[0, 0, 0] = 9.0  # a fresh stack every call
-    assert model.transition_matrices(0.1)[0, 0, 0] == 1.0
+    means = np.zeros((2, 3, 5))
+    means[..., 4] = [[0.1, 0.1, 0.1], [0.0, 0.3, -0.3]]
+    mu = np.array([[0.2, 0.3, 0.5], [0.5, 0.25, 0.25]])
+    mats = dynamics.coordinated_turn_matrix(model.turn_rates(means, mu), model.dt)
+    assert mats.shape == (2, 3, 5, 5)
+    for n, base in enumerate((0.1, 0.0)):
+        for j, mode in enumerate(model.modes):
+            assert np.allclose(mats[n, j], dynamics.mode_matrix(mode, base, 0.5), rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize(
@@ -57,7 +58,7 @@ def test_guard_uses_exact_condition_number(cond, usable):
     rot = np.array([[0.6, -0.8], [0.8, 0.6]])
     s = rot @ np.diag([cond, 1.0]) @ rot.T  # eigenvalues cond and 1
     if usable:
-        assert gaussian_likelihood(np.zeros(2), s) > 0.0
+        assert gaussian_likelihood(np.zeros(2), s)[0] > 0.0
     else:
         with pytest.raises(DegenerateMeasurementError):
             gaussian_likelihood(np.zeros(2), s)
@@ -77,43 +78,37 @@ def test_guard_rejects_singular_indefinite_and_nan(s):
 
 
 def test_guard_rejects_non_planar_measurements():
-    belief = GaussianBelief(np.zeros(5), np.eye(5))
     with pytest.raises(ValueError, match="2x2"):
-        kf_update(belief, np.zeros(3), np.eye(3, 5), np.eye(3))
+        kf_update(np.zeros((1, 5)), np.eye(5)[None], np.zeros(3), np.eye(3, 5), np.eye(3))
 
 
 def test_bank_cycle_equals_per_belief_api_bit_for_bit():
-    """imm_step's stacked kernels and the per-belief wrappers share one
-    implementation, so each mode's posterior must agree exactly."""
+    """imm_step runs its stages on the whole stack of banks and modes, and
+    each mode's posterior must equal those stages applied to that one
+    belief, as a stack of one, exactly."""
     rng = np.random.default_rng(41)
-    per_mode = []
-    for _ in range(3):
-        a = rng.standard_normal((5, 5))
-        mean = rng.uniform(-3000.0, 3000.0, 5)
-        mean[4] = rng.uniform(-0.3, 0.3)
-        per_mode.append(GaussianBelief(mean, a @ a.T + np.eye(5)))
-    belief = ImmBelief(per_mode, np.array([0.5, 0.3, 0.2]))
+    means = rng.uniform(-3000.0, 3000.0, (3, 5))
+    means[:, 4] = rng.uniform(-0.3, 0.3, 3)
+    roots = rng.standard_normal((3, 5, 5))
+    covs = roots @ roots.swapaxes(-1, -2) + np.eye(5)
+    mu = np.array([0.5, 0.3, 0.2])
     z = rng.uniform(-3000.0, 3000.0, 2)
     model = ImmModel()
-    out = imm_step(belief, z, model)
+    out = imm_step(means[None], covs[None], mu[None], z[None], model)
 
-    mu_ij, _ = mixing_probabilities(model.pi, belief.mode_probs)
-    mixed = mix_initial_conditions(belief.per_mode, mu_ij)
-    base = float(belief.mode_probs @ belief.means[:, 4])
+    mu_ij, _, _ = mixing_probabilities(model.pi, mu)
+    mixed_means, mixed_covs = mix_initial_conditions(means, covs, mu_ij)
+    base = float(mu @ means[:, 4])
     for j, mode in enumerate(model.modes):
         a = dynamics.mode_matrix(mode, base, model.dt)
-        pred = kf_predict(mixed[j], a, model.process_cov)
-        post, residual, s = kf_update(pred, z, model.meas_matrix, model.meas_cov)
-        assert np.array_equal(out.belief.means[j], post.mean)
-        assert np.array_equal(out.belief.covs[j], post.cov)
-        assert np.array_equal(out.residuals[j], residual)
-        assert np.array_equal(out.innovation_covs[j], s)
-        assert out.likelihoods[j] == gaussian_likelihood(residual, s)
-
-
-def test_per_mode_is_a_detached_view():
-    belief = ImmBelief([GaussianBelief(np.zeros(5), np.eye(5))] * 3, np.full(3, 1 / 3))
-    belief.per_mode[0].mean[0] = 7.0
-    belief.per_mode[0].cov[0, 0] = 7.0
-    assert belief.means[0, 0] == 0.0
-    assert belief.covs[0, 0, 0] == 1.0
+        pred_mean, pred_cov = kf_predict(
+            mixed_means[j : j + 1], mixed_covs[j : j + 1], a, model.process_cov
+        )
+        post_mean, post_cov, residual, s, likelihood = kf_update(
+            pred_mean, pred_cov, z, model.meas_matrix, model.meas_cov
+        )
+        assert np.array_equal(out.means[0, j], post_mean[0])
+        assert np.array_equal(out.covs[0, j], post_cov[0])
+        assert np.array_equal(out.residuals[0, j], residual[0])
+        assert np.array_equal(out.innovation_covs[0, j], s[0])
+        assert out.likelihoods[0, j] == likelihood[0] == gaussian_likelihood(residual, s)[0][0]

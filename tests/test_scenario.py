@@ -75,10 +75,26 @@ def test_config_stores_integer_scalars_as_floats():
         {"pi": np.ones((3, 3))},
         {"process_cov": np.ones((5, 4))},
         {"meas_cov": np.array([[1.0, 2.0], [0.0, 1.0]])},
+        # wrongly typed fields are refused by name, not run or written
+        {"steps": 60.0},
+        {"steps": True},
+        {"lookahead_max": 2.5},
+        {"lookahead_max": True},
+        {"cda_enabled": "no"},
+        {"cda_enabled": 1},
     ],
 )
 def test_config_rejects_bad_values(kw):
     with pytest.raises(ValueError):
+        ScenarioConfig(**kw)
+
+
+@pytest.mark.parametrize(
+    "kw", [{"steps": 60.0}, {"lookahead_max": 2.5}, {"cda_enabled": "no"}, {"seed": True}]
+)
+def test_config_type_errors_name_the_field(kw):
+    (key,) = kw
+    with pytest.raises(ValueError, match=key):
         ScenarioConfig(**kw)
 
 
