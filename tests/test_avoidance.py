@@ -34,24 +34,52 @@ def _ray_distance_to_origin(b, direction):
     return abs(b[0] * direction[1] - b[1] * direction[0]) / math.hypot(*direction)
 
 
+# --- range prediction ---
+#
+# detect_conflict predicts every horizon j = 1..max_horizon; these pin the
+# point and range it predicts at a single horizon.
+
+
+def test_predict_range_known_point():
+    j, points, ranges = detect_conflict(np.array([3000.0, 4000.0]), np.array([100.0, 0.0]), 1.0, R_SAFE, max_horizon=1)
+    assert points.shape == (1, 2)
+    assert np.array_equal(points[0], np.array([3100.0, 4000.0]))
+    assert ranges[0] == pytest.approx(5060.632371551998, rel=1e-12)
+    assert j == 0
+
+
+def test_predict_range_scales_with_horizon():
+    _, _, ranges = detect_conflict(np.array([4000.0, 0.0]), np.array([-500.0, 0.0]), 1.0, R_SAFE)
+    assert ranges[1] == pytest.approx(3000.0)
+    assert ranges[2] == pytest.approx(2500.0)
+    assert ranges[2] < R_SAFE
+
+
+def test_predict_range_boundary_is_safe():
+    # unsafe means strictly inside the circle
+    j, _, ranges = detect_conflict(np.array([3000.0, 0.0]), np.zeros(2), 1.0, R_SAFE, max_horizon=1)
+    assert ranges[0] == 3000.0
+    assert j == 0
+
+
+def test_predict_range_rejects_bad_horizon():
+    with pytest.raises(ValueError):
+        detect_conflict(np.zeros(2), np.zeros(2), 1.0, R_SAFE, max_horizon=0)
+    with pytest.raises(ValueError):
+        detect_conflict(np.zeros(2), np.zeros(2), 1.0, R_SAFE, max_horizon=-1)
+
+
 # --- conflict detection ---
 
 
 def test_detect_conflict_returns_first_unsafe_horizon():
-    j, points, ranges = detect_conflict(np.array([4000.0, 0.0]), np.array([-500.0, 0.0]), 1.0, R_SAFE)
-    # j=1 gives 3500, j=2 exactly 3000 (still safe: unsafe means strictly
-    # inside the circle), j=3 gives 2500
+    j, points, _ = detect_conflict(np.array([4000.0, 0.0]), np.array([-500.0, 0.0]), 1.0, R_SAFE)
+    # j=1 gives 3500, j=2 exactly 3000 (still safe), j=3 gives 2500
     assert j == 3
     assert np.allclose(points[j - 1], [2500.0, 0.0])
-    assert ranges[1] == pytest.approx(3000.0)
-    assert ranges[2] == pytest.approx(2500.0)
 
 
 def test_detect_conflict_none_when_clear():
-    j, points, ranges = detect_conflict(np.array([3000.0, 4000.0]), np.array([100.0, 0.0]), 1.0, R_SAFE)
-    assert j == 0
-    assert np.array_equal(points[0], np.array([3100.0, 4000.0]))
-    assert ranges[0] == pytest.approx(5060.632371551998, rel=1e-12)
     j, _, _ = detect_conflict(np.array([10000.0, 10000.0]), np.array([-500.0, 0.0]), 1.0, R_SAFE)
     assert j == 0
 
@@ -61,9 +89,6 @@ def test_detect_conflict_horizon_limit():
     assert detect_conflict(pos, vel, 1.0, R_SAFE, max_horizon=2)[0] == 0
     assert detect_conflict(pos, vel, 1.0, R_SAFE, max_horizon=3)[0] == 3
     assert DEFAULT_LOOKAHEAD == 3
-    for bad in (0, -1):
-        with pytest.raises(ValueError):
-            detect_conflict(pos, vel, 1.0, R_SAFE, max_horizon=bad)
 
 
 def test_detect_conflict_inside_circle_fires_immediately():
