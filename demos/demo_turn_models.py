@@ -29,7 +29,7 @@ def main() -> None:
         print(f"  |det| = {abs(np.linalg.det(v)):.12f} (rotation, no scaling)")
 
     print("\n=== Speed is preserved through any turn ===")
-    state = np.array([0.0, 120.0, 0.0, 50.0, 0.3])
+    state = np.array([0.0, 120.0, 0.0, 50.0, 0.0])
     speed0 = np.hypot(state[1], state[3])
     for _ in range(8):
         state = step_truth(state, Mode.LEFT_TURN, dt=1.0)
@@ -37,13 +37,11 @@ def main() -> None:
           f"{np.hypot(state[1], state[3]):.6f} m/s")
 
     print("\n=== Mode-conditioned matrices ===")
-    base = 0.05
     for mode in Mode:
-        a = mode_matrix(mode, base, dt=1.0)
-        # recover the effective rate from the rotation block
-        eff = np.arctan2(a[3, 1], a[1, 1])
-        print(f"{mode.name:<10} effective turn rate {eff:+.4f} rad/s "
-              f"(base {base:+.3f})")
+        a = mode_matrix(mode, dt=1.0)
+        # recover the turn rate from the rotation block
+        rate = np.arctan2(a[3, 1], a[1, 1])
+        print(f"{mode.name:<10} turn rate {rate:+.4f} rad/s")
 
     print("\n=== Mode chain relaxation ===")
     print("transition matrix rows:")

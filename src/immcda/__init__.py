@@ -33,7 +33,7 @@ from .dynamics import (
     evolve_mode_distribution,
     measure,
     mode_matrix,
-    mode_rates,
+    mode_transitions,
     sample_next_mode,
     step_truth,
     transition_edges,

@@ -166,7 +166,7 @@ def kalman_reduction(n_steps: int, seed: int) -> float:
     means, covs, _ = imm.initial_banks(start[None])
     mu = np.array([[1.0, 0.0, 0.0]])
     kf_mean, kf_cov = means[:, :1], covs[:, :1]  # one bank holding one filter
-    a = dynamics.mode_matrix(dynamics.Mode.STRAIGHT, 0.0, 1.0)
+    a = dynamics.mode_matrix(dynamics.Mode.STRAIGHT, 1.0)
     worst = 0.0
     for _ in range(n_steps):
         truth = dynamics.step_truth(truth, dynamics.Mode.STRAIGHT, 1.0)

@@ -3,15 +3,18 @@
 The state vector is [x1, vx1, x2, vx2, omega]: relative position and
 velocity of the intruder in metres and metres per second, plus a turn-rate
 component in rad/s. Motion switches between three modes under a Markov
-chain: straight flight, and coordinated turns that offset the turn rate by
-+pi/4 (left) or -pi/4 (right) rad/s. Positive turn rates rotate the
-velocity counterclockwise. The functions take a single state, mode or rate,
-or a stack of them.
+chain: straight flight, and coordinated turns at the fixed rates +pi/4
+(left) and -pi/4 (right) rad/s, so the three mode transitions are built
+once for each step length dt; the turn-rate component rides on its
+identity row and nothing reads it. Positive turn rates rotate the velocity
+counterclockwise. The functions take a single state, mode or rate, or a
+stack of them.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 
 import numpy as np
@@ -47,11 +50,8 @@ MEASUREMENT_NOISE_COV = np.diag([2500.0, 2500.0])
 N_MODES = 3
 # The entries of a coordinated-turn matrix that do not depend on the rate.
 _TURN_TEMPLATE = np.diag([1.0, 0.0, 1.0, 0.0, 1.0])
-_ONE = np.array(1.0)  # 0-d: numpy combines it with small arrays faster than 1.0
-# Per mode, indexed by the mode's value (entry 0 unused): the weight of the
-# base rate in its turn rate, and the offset added to it.
-_BASE_WEIGHTS = np.array([0.0, 0.0, 1.0, 1.0])
-_RATE_OFFSETS = np.array([0.0, 0.0, TURN_RATE_OFFSET, -TURN_RATE_OFFSET])
+# Turn rate of each mode, indexed by the mode's value minus one.
+_MODE_RATES = np.array([0.0, TURN_RATE_OFFSET, -TURN_RATE_OFFSET])
 
 
 class Mode(enum.IntEnum):
@@ -105,19 +105,12 @@ def coordinated_turn_matrix(omega, dt: float) -> np.ndarray:
         5x5 transition matrix over [x1, vx1, x2, vx2, omega], stacked
         along omega's shape when omega is an array.
     """
-    if dt <= 0.0:
+    if not dt > 0.0:  # NaN included
         raise ValueError("dt must be positive")
     omega = np.asarray(omega, dtype=float)
-    dt = np.asarray(dt, dtype=float)  # 0-d, like _ONE
-    # entries are written in place: this runs twice per simulated step
     out = np.empty(omega.shape + (STATE_DIM, STATE_DIM))
     out[...] = _TURN_TEMPLATE
     straight = omega == 0.0
-    if np.count_nonzero(straight) == straight.size:
-        # straight flight only: the double integrator, no trigonometry
-        out[..., 0, 1] = out[..., 2, 3] = dt
-        out[..., 1, 1] = out[..., 3, 3] = 1.0
-        return out
     wt = omega * dt
     rate = np.where(straight, 1.0, omega)  # so nothing divides by zero
     c = np.cos(wt, out=out[..., 1, 1])
@@ -127,41 +120,37 @@ def coordinated_turn_matrix(omega, dt: float) -> np.ndarray:
     # straight: dt and 0, the limits of sin(w dt)/w and (1 - cos(w dt))/w
     sin_int = np.where(straight, dt, s / rate)
     out[..., 0, 1] = out[..., 2, 3] = sin_int
-    vers_int = np.divide(_ONE - c, rate, out=out[..., 2, 1])
+    vers_int = np.divide(1.0 - c, rate, out=out[..., 2, 1])
     np.negative(vers_int, out=out[..., 0, 3])
     return out
 
 
-def mode_rates(mode, base_rate) -> np.ndarray:
-    """Turn rate of each flight mode around a finite base_rate, which
-    broadcasts against the modes: exactly 0 for straight flight,
-    base_rate + pi/4 for a left turn and base_rate - pi/4 for a right turn."""
-    modes = np.asarray(mode)
-    return base_rate * _BASE_WEIGHTS[modes] + _RATE_OFFSETS[modes]
+@functools.lru_cache(maxsize=16)
+def mode_transitions(dt: float) -> np.ndarray:
+    """Read-only (3, 5, 5) stack of the mode transitions for time step dt,
+    indexed by mode value minus one: straight flight, then the turns at
+    +pi/4 and -pi/4 rad/s. Built once per dt and shared by every caller."""
+    out = coordinated_turn_matrix(_MODE_RATES, dt)
+    out.flags.writeable = False
+    return out
 
 
-def mode_matrix(mode, base_rate, dt: float) -> np.ndarray:
-    """Transition matrix for one flight mode, or a stack for an array of modes.
-
-    Straight flight ignores base_rate; the turn modes offset it by
-    +pi/4 rad/s (left) or -pi/4 rad/s (right). base_rate broadcasts
-    against the modes.
-    """
+def mode_matrix(mode, dt: float) -> np.ndarray:
+    """Transition matrix for one flight mode, or a stack for an array of
+    modes, taken from mode_transitions(dt); a single mode gives a
+    read-only view."""
     modes = np.asarray(mode)
     if np.count_nonzero((modes < _STRAIGHT) | (modes > N_MODES)):
         raise ValueError(f"unknown mode {mode!r}")
-    return coordinated_turn_matrix(mode_rates(modes, base_rate), dt)
+    return mode_transitions(float(dt))[modes - 1]
 
 
 def step_truth(state: np.ndarray, mode, dt: float, noise: np.ndarray | None = None) -> np.ndarray:
-    """Advances true states one step under their modes.
-
-    state is a 5-vector, or a stack of them with one mode each. The turn
-    modes use the state's own turn-rate component as base rate; noise, if
-    given, is added in state space.
-    """
+    """Advances true states one step under their modes: state is a
+    5-vector, or a stack of them with one mode each; noise, if given, is
+    added in state space."""
     state = np.asarray(state, dtype=float)
-    out = (mode_matrix(mode, state[..., 4], dt) @ state[..., None])[..., 0]
+    out = (mode_matrix(mode, dt) @ state[..., None])[..., 0]
     if noise is not None:
         out = out + np.asarray(noise, dtype=float)
     return out

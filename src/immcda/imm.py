@@ -8,8 +8,8 @@ mode-matched Kalman filters at once on the new position fix, reweighs the
 modes by measurement likelihood, and combines the bank into one Gaussian;
 mixing and combination are the same moment match. Each 2x2 innovation
 covariance is factored once, in closed form, for the condition guard, the
-gain and the likelihood. The per-mode transitions are rebuilt each cycle
-around each bank's fused turn-rate estimate.
+gain and the likelihood. The turn modes run at the fixed rates of
+dynamics.mode_transitions, so the model builds its three transitions once.
 
 Every function takes stacks: the last axis (vectors) or two (matrices) hold
 one belief, the axis before them runs over a bank's modes, and any leading
@@ -30,8 +30,7 @@ from .dynamics import (
     PROCESS_NOISE_COV,
     STATE_DIM,
     TRANSITION_MATRIX,
-    coordinated_turn_matrix,
-    mode_rates,
+    mode_matrix,
     validate_transition_matrix,
 )
 
@@ -83,7 +82,9 @@ class ImmStepOutput:
 
 @dataclass(frozen=True)
 class ImmModel:
-    """Model bundle consumed by imm_step; validated once, then immutable."""
+    """Model bundle consumed by imm_step; validated once, then immutable.
+    Construction builds transitions, the read-only (3, 5, 5) stack of the
+    mode transitions in the order of modes."""
 
     pi: np.ndarray = field(default_factory=lambda: TRANSITION_MATRIX.copy())
     process_cov: np.ndarray = field(default_factory=lambda: PROCESS_NOISE_COV.copy())
@@ -103,17 +104,20 @@ class ImmModel:
             value = checked[name] = np.asarray(getattr(self, name), dtype=float)
             if value.shape != shape:
                 raise ValueError(f"{name} must have shape {shape}, got {value.shape}")
-        if self.dt <= 0.0:
-            raise ValueError("dt must be positive")
-        checked["_mode_array"] = np.array([int(Mode(m)) for m in self.modes])
+        check_inert_turn_rate(checked["process_cov"])
+        if np.any(checked["meas_matrix"][:, 4]):
+            raise ValueError("meas_matrix must not read the turn rate (column 4)")
+        # mode_matrix raises unless dt > 0
+        transitions = checked["transitions"] = mode_matrix([Mode(m) for m in self.modes], self.dt)
+        transitions.flags.writeable = False
         for name, value in checked.items():
             object.__setattr__(self, name, value)
 
-    def turn_rates(self, means: np.ndarray, mode_probs: np.ndarray) -> np.ndarray:
-        """Turn rates (..., 3) of the per-mode transitions of banks (..., 3, 5):
-        the modes' offsets around each bank's fused turn-rate estimate."""
-        base = (mode_probs[..., None, :] @ means[..., 4:])[..., 0]
-        return mode_rates(self._mode_array, base)
+
+def check_inert_turn_rate(process_cov: np.ndarray) -> None:
+    """Raises ValueError unless process_cov[4, :4] is zero: the turn rate stays inert."""
+    if np.any(process_cov[4, :4]) or np.any(process_cov[:4, 4]):
+        raise ValueError("process_cov[4, :4] must be zero: the turn rate is not coupled")
 
 
 def check_covariance(cov: np.ndarray, key: str = "covariance") -> None:
@@ -301,14 +305,12 @@ def imm_step(
 
     means (N, 3, 5), covs (N, 3, 5, 5), mode_probs (N, 3) and z (N, 2).
     Order: mixing probabilities, mixed initial conditions, predict and
-    update of every bank, mode probability update; fuse_estimates combines
-    the result. Each bank's turn-mode transitions are rebuilt around its
-    incoming fused turn-rate estimate.
+    update of every bank through model.transitions, mode probability
+    update; fuse_estimates combines the result.
     """
-    transitions = coordinated_turn_matrix(model.turn_rates(means, mode_probs), model.dt)
     mu_ij, c_bar, degenerate = mixing_probabilities(model.pi, mode_probs)
     means, covs = mix_initial_conditions(means, covs, mu_ij)
-    means, covs = kf_predict(means, covs, transitions, model.process_cov)
+    means, covs = kf_predict(means, covs, model.transitions, model.process_cov)
     means, covs, residuals, s, likelihoods = kf_update(
         means, covs, z, model.meas_matrix, model.meas_cov
     )

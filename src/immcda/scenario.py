@@ -35,6 +35,14 @@ def _check_finite(value, key: str) -> np.ndarray:
     return value
 
 
+def _check_real(value, key: str) -> float:
+    # bool is an int subclass and numpy parses numeric strings: either
+    # would otherwise run as a number
+    if not isinstance(value, (int, float, np.integer, np.floating)) or isinstance(value, bool):
+        raise ValueError(f"{key} must be a real number, got {value!r}")
+    return float(_check_finite(value, key))
+
+
 def _check_covariance(cov: np.ndarray, shape: tuple[int, int], key: str) -> np.ndarray:
     cov = _check_finite(cov, key)
     if cov.shape != shape:
@@ -88,7 +96,7 @@ class ScenarioConfig:
         # stored as float so an integer given here still yields float times
         # and a float in the manifest
         for key in ("dt", "v_cruise", "r_safe", "spawn_radius", "avoid_margin"):
-            setattr(self, key, float(_check_finite(getattr(self, key), key)))
+            setattr(self, key, _check_real(getattr(self, key), key))
         _check_finite(self.pi, "pi")
         self.steps = _check_integer(self.steps, "steps")
         self.lookahead_max = _check_integer(self.lookahead_max, "lookahead_max")
@@ -123,11 +131,12 @@ class ScenarioConfig:
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
         if self.mode_threshold is not None:
-            self.mode_threshold = float(self.mode_threshold)
+            self.mode_threshold = _check_real(self.mode_threshold, "mode_threshold")
             if not 0.0 <= self.mode_threshold <= 1.0:
                 raise ValueError("mode_threshold must lie in [0, 1]")
         self.pi = dynamics.validate_transition_matrix(self.pi)
         self.process_cov = _check_covariance(self.process_cov, (5, 5), "process_cov")
+        imm.check_inert_turn_rate(self.process_cov)
         self.meas_cov = _check_covariance(self.meas_cov, (2, 2), "meas_cov")
         # without noise on positions and velocities the track converges
         # until only meas_cov keeps the innovation covariance regular

@@ -102,15 +102,13 @@ def test_turn_matrix_speed_preserving():
     assert math.hypot(out[1], out[3]) == pytest.approx(math.hypot(210.0, -33.0), rel=1e-12)
 
 
-def test_mode_matrix_uses_offset_rates():
-    base = 0.1
-    a_straight = mode_matrix(Mode.STRAIGHT, base, 1.0)
-    a_left = mode_matrix(Mode.LEFT_TURN, base, 1.0)
-    a_right = mode_matrix(Mode.RIGHT_TURN, base, 1.0)
-    # straight flight means no turn regardless of the estimated base rate
-    assert np.array_equal(a_straight, coordinated_turn_matrix(0.0, 1.0))
-    assert np.array_equal(a_left, coordinated_turn_matrix(base + TURN_RATE_OFFSET, 1.0))
-    assert np.array_equal(a_right, coordinated_turn_matrix(base - TURN_RATE_OFFSET, 1.0))
+@pytest.mark.parametrize("mode", [0, 4, -1, [1, 0, 2]])
+def test_unknown_modes_are_rejected(mode):
+    # index mode - 1 = -1 would otherwise pick the right-turn matrix
+    with pytest.raises(ValueError, match="unknown mode"):
+        mode_matrix(mode, 1.0)
+    with pytest.raises(ValueError, match="unknown mode"):
+        step_truth(np.zeros(np.shape(mode) + (5,)), np.array(mode), 1.0)
 
 
 def test_step_truth_pure_translation():
@@ -120,10 +118,10 @@ def test_step_truth_pure_translation():
 
 
 def test_step_truth_quarter_turn():
-    # base rate pi/4 plus the left-turn offset gives pi/2 per second:
-    # one second rotates the velocity by 90 degrees
+    # two seconds of the left turn at pi/4 rad/s rotate the velocity by
+    # 90 degrees; the state's turn-rate entry is carried, not read
     state = np.array([0.0, 100.0, 0.0, 0.0, math.pi / 4])
-    out = step_truth(state, Mode.LEFT_TURN, 1.0)
+    out = step_truth(state, Mode.LEFT_TURN, 2.0)
     assert out[1] == pytest.approx(0.0, abs=1e-10)
     assert out[3] == pytest.approx(100.0, rel=1e-12)
     assert out[4] == math.pi / 4

@@ -31,6 +31,7 @@ from immcda.imm import (
 )
 
 UNIFORM = np.full(3, 1.0 / 3.0)
+MODE_RATES = {Mode.STRAIGHT: 0.0, Mode.LEFT_TURN: math.pi / 4, Mode.RIGHT_TURN: -math.pi / 4}
 
 
 def _step(bank, z, model):
@@ -46,8 +47,7 @@ def _step(bank, z, model):
 def _naive_step(bank, z, model):
     """Textbook cycle: mix, predict, update, reweight, fuse."""
     means, covs, mu = bank
-    base = float(sum(mu[i] * means[i][4] for i in range(3)))
-    mats = [dynamics.mode_matrix(m, base, model.dt) for m in model.modes]
+    mats = [dynamics.coordinated_turn_matrix(MODE_RATES[m], model.dt) for m in model.modes]
     h, r_cov = model.meas_matrix, model.meas_cov
     cbar = model.pi.T @ mu
     w = model.pi * mu[:, None] / cbar[None, :]
@@ -320,6 +320,8 @@ def test_check_valid_flags_broken_covariances():
 def test_model_validation():
     with pytest.raises(ValueError):
         ImmModel(dt=0.0)
+    with pytest.raises(ValueError, match="dt must be positive"):
+        ImmModel(dt=math.nan)
     with pytest.raises(ValueError):
         ImmModel(pi=np.ones((3, 3)))
 
@@ -421,7 +423,7 @@ def test_imm_step_reduces_to_kalman_filter_with_frozen_modes():
         out = imm_step(means, covs, mu, z, model)
         means, covs, mu = out.means, out.covs, out.mode_probs
         fused_mean, fused_cov = fuse_estimates(means, covs, mu)
-        a = dynamics.mode_matrix(Mode.STRAIGHT, float(kf_mean[0, 0, 4]), model.dt)
+        a = dynamics.mode_matrix(Mode.STRAIGHT, model.dt)
         kf_mean, kf_cov = kf_predict(kf_mean, kf_cov, a, model.process_cov)
         kf_mean, kf_cov, _, _, _ = kf_update(kf_mean, kf_cov, z, model.meas_matrix, model.meas_cov)
         assert np.max(np.abs(fused_mean - kf_mean[:, 0])) <= 1e-12

@@ -38,16 +38,39 @@ def test_model_is_immutable_after_validation():
         model.dt = 2.0
 
 
-def test_turn_rates_offset_each_banks_fused_rate():
-    model = ImmModel(dt=0.5)
-    means = np.zeros((2, 3, 5))
-    means[..., 4] = [[0.1, 0.1, 0.1], [0.0, 0.3, -0.3]]
-    mu = np.array([[0.2, 0.3, 0.5], [0.5, 0.25, 0.25]])
-    mats = dynamics.coordinated_turn_matrix(model.turn_rates(means, mu), model.dt)
-    assert mats.shape == (2, 3, 5, 5)
-    for n, base in enumerate((0.1, 0.0)):
-        for j, mode in enumerate(model.modes):
-            assert np.allclose(mats[n, j], dynamics.mode_matrix(mode, base, 0.5), rtol=0, atol=1e-15)
+def _turn_rate_coupled(cov):
+    cov = cov.copy()
+    cov[0, 4] = cov[4, 0] = 0.005
+    return cov
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"process_cov": _turn_rate_coupled(dynamics.PROCESS_NOISE_COV)},
+        {"meas_matrix": np.array([[1.0, 0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0, 1.0]])},
+    ],
+)
+def test_model_rejects_a_live_turn_rate(kwargs):
+    (key,) = kwargs
+    with pytest.raises(ValueError, match=key):
+        ImmModel(**kwargs)
+
+
+def test_model_transitions_are_the_fixed_rate_stack():
+    """The turn modes run at exactly 0 and +-pi/4 rad/s, whatever the
+    banks hold, in the order of the model's modes, and read-only."""
+    modes = (dynamics.Mode.RIGHT_TURN, dynamics.Mode.STRAIGHT, dynamics.Mode.LEFT_TURN)
+    model = ImmModel(dt=0.5, modes=modes)
+    rates = np.array([-np.pi / 4, 0.0, np.pi / 4])
+    assert np.array_equal(model.transitions, dynamics.coordinated_turn_matrix(rates, 0.5))
+    stack = dynamics.mode_transitions(0.5)
+    assert np.array_equal(model.transitions, stack[[2, 0, 1]])
+    assert np.array_equal(ImmModel(dt=0.5).transitions, stack)
+    for mats in (model.transitions, stack):
+        assert not mats.flags.writeable
+        with pytest.raises(ValueError):
+            mats[0, 0, 0] = 2.0
 
 
 @pytest.mark.parametrize(
@@ -98,9 +121,8 @@ def test_bank_cycle_equals_per_belief_api_bit_for_bit():
 
     mu_ij, _, _ = mixing_probabilities(model.pi, mu)
     mixed_means, mixed_covs = mix_initial_conditions(means, covs, mu_ij)
-    base = float(mu @ means[:, 4])
     for j, mode in enumerate(model.modes):
-        a = dynamics.mode_matrix(mode, base, model.dt)
+        a = dynamics.mode_matrix(mode, model.dt)
         pred_mean, pred_cov = kf_predict(
             mixed_means[j : j + 1], mixed_covs[j : j + 1], a, model.process_cov
         )

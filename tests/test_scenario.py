@@ -56,6 +56,12 @@ def test_config_stores_integer_scalars_as_floats():
         assert type(getattr(config, key)) is float, key
 
 
+def _turn_rate_coupled(cov):
+    cov = cov.copy()
+    cov[0, 4] = cov[4, 0] = 0.005
+    return cov
+
+
 @pytest.mark.parametrize(
     "kw",
     [
@@ -74,6 +80,7 @@ def test_config_stores_integer_scalars_as_floats():
         {"seed": -1},
         {"pi": np.ones((3, 3))},
         {"process_cov": np.ones((5, 4))},
+        {"process_cov": _turn_rate_coupled(dynamics.PROCESS_NOISE_COV)},
         {"meas_cov": np.array([[1.0, 2.0], [0.0, 1.0]])},
         # wrongly typed fields are refused by name, not run or written
         {"steps": 60.0},
@@ -90,7 +97,19 @@ def test_config_rejects_bad_values(kw):
 
 
 @pytest.mark.parametrize(
-    "kw", [{"steps": 60.0}, {"lookahead_max": 2.5}, {"cda_enabled": "no"}, {"seed": True}]
+    "kw",
+    [
+        {"steps": 60.0},
+        {"lookahead_max": 2.5},
+        {"cda_enabled": "no"},
+        {"seed": True},
+        {"avoid_margin": False},
+        {"dt": True},
+        {"r_safe": "2500"},
+        {"mode_threshold": True},
+        {"v_cruise": "285.841"},
+        {"spawn_radius": "4500"},
+    ],
 )
 def test_config_type_errors_name_the_field(kw):
     (key,) = kw
@@ -380,9 +399,12 @@ def _accepted_configs(draw):
 @settings(max_examples=20, deadline=None)
 def test_accepted_configs_run_finite_and_batch_equals_single(config):
     """Every config ScenarioConfig accepts runs to finite traces, and each
-    trace of a lockstep batch equals the episode run on its own."""
+    trace of a lockstep batch equals the episode run on its own. The
+    turn-rate component is inert: exactly 0 in truth and estimate."""
     result = run_monte_carlo(config, 3, keep_traces=True)
     for trace in result.traces:
         for name in ("truth", "z", "est", "mode_probs", "separation"):
             assert np.all(np.isfinite(getattr(trace, name))), name
+        assert np.all(trace.truth[:, 4] == 0.0)
+        assert np.all(trace.est[:, 4] == 0.0)
         assert trace_differences(trace, run_episode(trace.config)) == []
