@@ -102,6 +102,17 @@ def test_turn_matrix_speed_preserving():
     assert math.hypot(out[1], out[3]) == pytest.approx(math.hypot(210.0, -33.0), rel=1e-12)
 
 
+def test_mode_matrix_uses_offset_rates():
+    # straight flight does not turn; the turns fly at exactly +-TURN_RATE_OFFSET
+    for dt in (0.1, 1.0):
+        a_straight = mode_matrix(Mode.STRAIGHT, dt)
+        a_left = mode_matrix(Mode.LEFT_TURN, dt)
+        a_right = mode_matrix(Mode.RIGHT_TURN, dt)
+        assert np.array_equal(a_straight, coordinated_turn_matrix(0.0, dt))
+        assert np.array_equal(a_left, coordinated_turn_matrix(TURN_RATE_OFFSET, dt))
+        assert np.array_equal(a_right, coordinated_turn_matrix(-TURN_RATE_OFFSET, dt))
+
+
 @pytest.mark.parametrize("mode", [0, 4, -1, [1, 0, 2]])
 def test_unknown_modes_are_rejected(mode):
     # index mode - 1 = -1 would otherwise pick the right-turn matrix

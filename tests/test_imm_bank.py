@@ -12,6 +12,7 @@ from immcda.imm import (
     ImmModel,
     gaussian_likelihood,
     imm_step,
+    initial_banks,
     kf_predict,
     kf_update,
     mix_initial_conditions,
@@ -55,6 +56,28 @@ def test_model_rejects_a_live_turn_rate(kwargs):
     (key,) = kwargs
     with pytest.raises(ValueError, match=key):
         ImmModel(**kwargs)
+
+
+def test_turn_rates_offset_each_banks_fused_rate():
+    """The turn modes fly at the fixed offsets 0 and +-pi/4 rad/s from a
+    turn rate of zero, whatever each bank's fused turn rate: banks that
+    differ only in their turn-rate entries get the same kinematics, mode
+    probabilities and likelihoods from imm_step."""
+    model = ImmModel(dt=0.5)
+    rng = np.random.default_rng(7)
+    means, covs, mu = initial_banks(rng.normal(0.0, 500.0, (2, 2)))
+    means[..., [1, 3]] = rng.normal(0.0, 200.0, (2, 3, 2))
+    spun = means.copy()
+    spun[..., 4] = [[0.1, 0.1, 0.1], [0.0, 0.3, -0.3]]
+    mu = np.array([[0.2, 0.3, 0.5], [0.5, 0.25, 0.25]])
+    z = rng.normal(0.0, 500.0, (2, 2))
+    still = imm_step(means, covs, mu, z, model)
+    turning = imm_step(spun, covs, mu, z, model)
+    assert np.array_equal(turning.means[..., :4], still.means[..., :4])
+    assert np.array_equal(turning.covs[..., :4, :4], still.covs[..., :4, :4])
+    assert np.array_equal(turning.mode_probs, still.mode_probs)
+    assert np.array_equal(turning.likelihoods, still.likelihoods)
+    assert np.any(turning.means[..., 4] != still.means[..., 4])
 
 
 def test_model_transitions_are_the_fixed_rate_stack():
